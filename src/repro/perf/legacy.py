@@ -21,13 +21,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from collections import OrderedDict
+import abc
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.mti import MtiIterationResult, MtiState
-from repro.errors import DatasetError, IoSubsystemError, RetryExhaustedError
+from repro.errors import (
+    DatasetError,
+    IoSubsystemError,
+    RetryExhaustedError,
+    SchedulerError,
+)
+from repro.simhw.engine import ScheduleDecision, TaskWork
+from repro.simhw.machine import SimMachine
 from repro.simhw.ssd import SsdArray, SsdReadResult
+from repro.simhw.thread import SimThread
 
 #: Block size of the pre-change ``nearest_centroid`` (unchanged since).
 BLOCK_ROWS = 65536
@@ -589,3 +598,214 @@ class LegacyRowCache:
         self._cached[:] = False
         self._gap = self.update_interval
         self._next_refresh = self.update_interval
+
+
+# ---------------------------------------------------------------------------
+# Task schedulers and block construction, frozen before the O(1) dispatch
+# rework. Verbatim copies of repro.sched.{base,static,fifo,numa_aware,blocks}
+# as they stood: every next_task call recomputes the prowler count over all
+# T partitions, NUMA-aware re-derives its steal order per call, a drained
+# phase still scans every victim before answering None, and blocks are
+# summed one numpy .sum() per block. The decision-level conformance test
+# (tests/test_sched.py) drives these and the live schedulers through the
+# same random drain orders and asserts identical decisions and queues.
+# ---------------------------------------------------------------------------
+
+
+def owner_of_task(task_id: int, n_tasks: int, n_threads: int) -> int:
+    """Thread that owns a task under the paper's block partitioning.
+
+    Tasks are contiguous row blocks in dataset order; thread ``t`` owns
+    the ``t``-th equal share of them, mirroring Figure 1's layout where
+    thread ``t``'s data partition is rows ``[t*alpha, (t+1)*alpha)``.
+    """
+    if n_tasks <= 0:
+        raise SchedulerError("no tasks to own")
+    if not 0 <= task_id < n_tasks:
+        raise SchedulerError(f"task_id {task_id} out of range")
+    return min(task_id * n_threads // n_tasks, n_threads - 1)
+
+
+class LegacyBaseScheduler(abc.ABC):
+    """Common queue bookkeeping for all three scheduling policies."""
+
+    def __init__(self) -> None:
+        self._queues: list[deque[TaskWork]] = []
+        self._thread_nodes: list[int] = []
+        self._n_threads = 0
+
+    def assign(self, tasks: list[TaskWork], threads: list[SimThread]) -> None:
+        """Load a fresh iteration's tasks into per-thread queues."""
+        if not threads:
+            raise SchedulerError("assign() needs at least one thread")
+        self._n_threads = len(threads)
+        self._thread_nodes = [th.node for th in threads]
+        self._queues = [deque() for _ in threads]
+        n_tasks = len(tasks)
+        for task in tasks:
+            owner = owner_of_task(task.task_id, n_tasks, self._n_threads)
+            self._queues[owner].append(task)
+
+    def queue_lengths(self) -> list[int]:
+        """Remaining tasks per partition (for tests and introspection)."""
+        return [len(q) for q in self._queues]
+
+    def _n_prowling(self) -> int:
+        """Threads whose own queue is empty -- the potential stealers
+        contending on everyone else's partition lock."""
+        return sum(1 for q in self._queues if not q)
+
+    @abc.abstractmethod
+    def next_task(self, thread: SimThread) -> ScheduleDecision | None:
+        """Hand ``thread`` its next task, or ``None`` when it should
+        park at the barrier."""
+
+
+class LegacyStaticScheduler(LegacyBaseScheduler):
+    """No locks, no stealing: drain your own preassigned queue."""
+
+    def next_task(self, thread: SimThread) -> ScheduleDecision | None:
+        """Drain the caller's preassigned queue; never steal."""
+        queue = self._queues[thread.thread_id]
+        if not queue:
+            return None
+        # Static assignment has no shared state, hence no lock probes.
+        return ScheduleDecision(task=queue.popleft(), probe_contenders=())
+
+
+class LegacyFifoScheduler(LegacyBaseScheduler):
+    """Partitioned queues, steal from anyone in thread-id order."""
+
+    def next_task(self, thread: SimThread) -> ScheduleDecision | None:
+        """Own queue first, then steal from any backlog in id order."""
+        tid = thread.thread_id
+        own = self._queues[tid]
+        # Prowling stealers spread over T partition locks; the expected
+        # contention on any one lock is their per-lock share.
+        contenders = 1 + (
+            self._n_prowling() + self._n_threads - 1
+        ) // self._n_threads
+        if own:
+            return ScheduleDecision(
+                task=own.popleft(),
+                probe_contenders=(contenders,),
+            )
+        # Steal scan: walk partitions in id order starting after ours --
+        # topology-oblivious, so the first victim found is usually on a
+        # different NUMA node (the stolen task's data is remote).
+        probes: list[int] = [contenders]  # the failed probe of our own
+        for step in range(1, self._n_threads):
+            victim = (tid + step) % self._n_threads
+            queue = self._queues[victim]
+            probes.append(contenders)
+            if queue:
+                task = queue.popleft()
+                return ScheduleDecision(
+                    task=task,
+                    probe_contenders=tuple(probes),
+                    stolen_from_node=self._thread_nodes[victim],
+                    was_steal=True,
+                )
+        return None
+
+
+class LegacyNumaAwareScheduler(LegacyBaseScheduler):
+    """Partitioned priority queue with local-node-first stealing."""
+
+    def _steal_order(self, thread: SimThread) -> list[int]:
+        """Partitions to probe: same-node first, then remote, both in
+        deterministic id order starting after the caller."""
+        tid = thread.thread_id
+        node = thread.node
+        ring = [(tid + s) % self._n_threads for s in range(1, self._n_threads)]
+        local = [v for v in ring if self._thread_nodes[v] == node]
+        remote = [v for v in ring if self._thread_nodes[v] != node]
+        return local + remote
+
+    def next_task(self, thread: SimThread) -> ScheduleDecision | None:
+        """Own partition, then same-node victims, then remote."""
+        tid = thread.thread_id
+        own = self._queues[tid]
+        # Contention on a partition lock: its owner plus any prowling
+        # stealers that reached it. Partitioning keeps this near 1.
+        prowlers_share = 1 + (
+            self._n_prowling() + self._n_threads - 1
+        ) // self._n_threads
+        if own:
+            return ScheduleDecision(
+                task=own.popleft(),
+                probe_contenders=(prowlers_share,),
+            )
+        probes: list[int] = [prowlers_share]
+        for victim in self._steal_order(thread):
+            queue = self._queues[victim]
+            probes.append(prowlers_share)
+            if queue:
+                # Steal from the *back* of the victim's queue: the
+                # owner keeps working the front, minimizing interference.
+                task: TaskWork = queue.pop()
+                return ScheduleDecision(
+                    task=task,
+                    probe_contenders=tuple(probes),
+                    stolen_from_node=self._thread_nodes[victim],
+                    was_steal=True,
+                )
+        return None
+
+
+def build_task_blocks(
+    n_rows: int,
+    d: int,
+    machine: SimMachine,
+    *,
+    dist_per_row: np.ndarray | None = None,
+    needs_data: np.ndarray | None = None,
+    task_rows: int = 8192,
+    itemsize: int = 8,
+    state_bytes_per_row: int = 12,
+) -> list[TaskWork]:
+    """Pre-change block aggregation: two numpy ``.sum()`` per block."""
+    if n_rows <= 0:
+        raise SchedulerError(f"n_rows must be positive, got {n_rows}")
+    if task_rows <= 0:
+        raise SchedulerError(f"task_rows must be positive, got {task_rows}")
+    if dist_per_row is None:
+        raise SchedulerError(
+            "dist_per_row is required: pass k per row for unpruned runs"
+        )
+    dist_per_row = np.asarray(dist_per_row)
+    if dist_per_row.shape != (n_rows,):
+        raise SchedulerError(
+            f"dist_per_row shape {dist_per_row.shape} != ({n_rows},)"
+        )
+    if needs_data is None:
+        needs_data_arr = np.ones(n_rows, dtype=bool)
+    else:
+        needs_data_arr = np.asarray(needs_data, dtype=bool)
+        if needs_data_arr.shape != (n_rows,):
+            raise SchedulerError(
+                f"needs_data shape {needs_data_arr.shape} != ({n_rows},)"
+            )
+
+    row_bytes = d * itemsize
+    tasks: list[TaskWork] = []
+    n_tasks = -(-n_rows // task_rows)
+    for block in range(n_tasks):
+        start = block * task_rows
+        stop = min(start + task_rows, n_rows)
+        rows = stop - start
+        n_dist = int(dist_per_row[start:stop].sum())
+        data_rows = int(needs_data_arr[start:stop].sum())
+        # Home node: where this block's slice of the dataset lives.
+        frac = start / n_rows
+        tasks.append(
+            TaskWork(
+                task_id=block,
+                n_rows=rows,
+                n_dist=n_dist,
+                data_bytes=data_rows * row_bytes,
+                state_bytes=rows * state_bytes_per_row,
+                home_node=machine.node_of_row_block(frac),
+            )
+        )
+    return tasks

@@ -20,6 +20,18 @@ All schedulers consume :class:`repro.simhw.TaskWork` items and answer
 the engine's ``next_task`` calls with
 :class:`repro.simhw.ScheduleDecision` records that carry exact lock
 probe counts, so queue contention is charged faithfully.
+
+The engine calls ``next_task`` once per dispatch and once more per
+thread as it parks, so the bookkeeping is O(1) per call:
+
+* ``next_task`` returning ``None`` has no side effects.
+* Own-queue pops and calls after the phase has drained cost O(1): the
+  remaining-task and empty-partition counts are kept as tasks are
+  taken, never recounted. Only a real steal scans victims.
+* NUMA-aware steal orders are cached per thread->node map.
+
+The pre-change schedulers are frozen in :mod:`repro.perf.legacy`, and
+``tests/test_sched.py`` checks every decision against them.
 """
 
 from repro.sched.base import BaseScheduler, owner_of_task

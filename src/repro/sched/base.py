@@ -25,35 +25,55 @@ def owner_of_task(task_id: int, n_tasks: int, n_threads: int) -> int:
 
 
 class BaseScheduler(abc.ABC):
-    """Common queue bookkeeping for all three scheduling policies."""
+    """Common queue bookkeeping for all three scheduling policies.
+
+    Two counters follow every take: the tasks still queued, and the
+    partitions already empty -- their owners are the prowling stealers
+    contending on everyone else's partition lock. A dispatch reads them
+    in O(1) instead of scanning all ``T`` partitions.
+    """
 
     def __init__(self) -> None:
         self._queues: list[deque[TaskWork]] = []
-        self._thread_nodes: list[int] = []
+        self._thread_nodes: tuple[int, ...] = ()
         self._n_threads = 0
+        self._n_remaining = 0
+        self._n_prowling = 0
 
     def assign(self, tasks: list[TaskWork], threads: list[SimThread]) -> None:
         """Load a fresh iteration's tasks into per-thread queues."""
         if not threads:
             raise SchedulerError("assign() needs at least one thread")
-        self._n_threads = len(threads)
-        self._thread_nodes = [th.node for th in threads]
-        self._queues = [deque() for _ in threads]
+        n_threads = len(threads)
         n_tasks = len(tasks)
-        for task in tasks:
-            owner = owner_of_task(task.task_id, n_tasks, self._n_threads)
-            self._queues[owner].append(task)
+        ids = [task.task_id for task in tasks]
+        if ids and (min(ids) < 0 or max(ids) >= n_tasks):
+            bad = next(i for i in ids if not 0 <= i < n_tasks)
+            raise SchedulerError(f"task_id {bad} out of range")
+        queues: list[deque[TaskWork]] = [deque() for _ in threads]
+        for task_id, task in zip(ids, tasks):
+            # owner_of_task's block partitioning; ids validated above.
+            owner = min(task_id * n_threads // n_tasks, n_threads - 1)
+            queues[owner].append(task)
+        self._n_threads = n_threads
+        self._thread_nodes = tuple(th.node for th in threads)
+        self._queues = queues
+        self._n_remaining = n_tasks
+        self._n_prowling = sum(1 for q in queues if not q)
 
     def queue_lengths(self) -> list[int]:
         """Remaining tasks per partition (for tests and introspection)."""
         return [len(q) for q in self._queues]
 
-    def _n_prowling(self) -> int:
-        """Threads whose own queue is empty -- the potential stealers
-        contending on everyone else's partition lock."""
-        return sum(1 for q in self._queues if not q)
+    def _take(self, queue: deque[TaskWork], *, back: bool = False) -> TaskWork:
+        """Pop one task from ``queue`` and keep the counters current."""
+        task = queue.pop() if back else queue.popleft()
+        self._n_remaining -= 1
+        if not queue:
+            self._n_prowling += 1
+        return task
 
     @abc.abstractmethod
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Hand ``thread`` its next task, or ``None`` when it should
-        park at the barrier."""
+        park at the barrier. Returning ``None`` changes no state."""

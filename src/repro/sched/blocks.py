@@ -56,9 +56,10 @@ def build_task_blocks(
         Supplies the NUMA placement of each block (Figure 1 layout or
         oblivious single-bank, depending on the machine's bind policy).
     dist_per_row:
-        Exact distance computations performed per row this iteration.
-        ``None`` means the unpruned ``k`` -- callers must pass the
-        pruned counts themselves since this module does not know ``k``.
+        Exact distance computations performed per row this iteration,
+        as integer counts (int32 and int64 both sum exactly). Required:
+        unpruned runs pass ``k`` per row, since this module does not
+        know ``k``.
     needs_data:
         Boolean mask of rows whose row-data must be streamed (MTI
         clause 1 skips both compute *and* the data read). ``None``
@@ -83,34 +84,40 @@ def build_task_blocks(
         raise SchedulerError(
             f"dist_per_row shape {dist_per_row.shape} != ({n_rows},)"
         )
-    if needs_data is None:
-        needs_data_arr = np.ones(n_rows, dtype=bool)
-    else:
-        needs_data_arr = np.asarray(needs_data, dtype=bool)
-        if needs_data_arr.shape != (n_rows,):
+    if dist_per_row.dtype.kind not in "biu":
+        raise SchedulerError(
+            f"dist_per_row must hold integer counts, got {dist_per_row.dtype}"
+        )
+    if needs_data is not None:
+        needs_data = np.asarray(needs_data, dtype=bool)
+        if needs_data.shape != (n_rows,):
             raise SchedulerError(
-                f"needs_data shape {needs_data_arr.shape} != ({n_rows},)"
+                f"needs_data shape {needs_data.shape} != ({n_rows},)"
             )
 
+    # Per-block totals in one exact int64 pass each (int32 counts are
+    # widened before they are summed, so no block can overflow).
+    starts = np.arange(0, n_rows, task_rows)
+    n_dist = np.add.reduceat(dist_per_row, starts, dtype=np.int64).tolist()
+    data_rows = (
+        None if needs_data is None
+        else np.add.reduceat(needs_data, starts, dtype=np.int64).tolist()
+    )
     row_bytes = d * itemsize
     tasks: list[TaskWork] = []
-    n_tasks = -(-n_rows // task_rows)
-    for block in range(n_tasks):
+    for block, dist in enumerate(n_dist):
         start = block * task_rows
-        stop = min(start + task_rows, n_rows)
-        rows = stop - start
-        n_dist = int(dist_per_row[start:stop].sum())
-        data_rows = int(needs_data_arr[start:stop].sum())
+        rows = min(task_rows, n_rows - start)  # the last block may be short
+        data = rows if data_rows is None else data_rows[block]
         # Home node: where this block's slice of the dataset lives.
-        frac = start / n_rows
         tasks.append(
             TaskWork(
                 task_id=block,
                 n_rows=rows,
-                n_dist=n_dist,
-                data_bytes=data_rows * row_bytes,
+                n_dist=dist,
+                data_bytes=data * row_bytes,
                 state_bytes=rows * state_bytes_per_row,
-                home_node=machine.node_of_row_block(frac),
+                home_node=machine.node_of_row_block(start / n_rows),
             )
         )
     return tasks

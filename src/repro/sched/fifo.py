@@ -10,6 +10,7 @@ stealing pool performs.
 
 from __future__ import annotations
 
+from repro.errors import SchedulerError
 from repro.sched.base import BaseScheduler
 from repro.simhw.engine import ScheduleDecision
 from repro.simhw.thread import SimThread
@@ -20,32 +21,32 @@ class FifoScheduler(BaseScheduler):
 
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own queue first, then steal from any backlog in id order."""
+        if not self._n_remaining:
+            return None
         tid = thread.thread_id
         own = self._queues[tid]
+        n_threads = self._n_threads
         # Prowling stealers spread over T partition locks; the expected
         # contention on any one lock is their per-lock share.
-        contenders = 1 + (
-            self._n_prowling() + self._n_threads - 1
-        ) // self._n_threads
+        contenders = 1 + (self._n_prowling + n_threads - 1) // n_threads
         if own:
             return ScheduleDecision(
-                task=own.popleft(),
+                task=self._take(own),
                 probe_contenders=(contenders,),
             )
         # Steal scan: walk partitions in id order starting after ours --
         # topology-oblivious, so the first victim found is usually on a
-        # different NUMA node (the stolen task's data is remote).
-        probes: list[int] = [contenders]  # the failed probe of our own
-        for step in range(1, self._n_threads):
-            victim = (tid + step) % self._n_threads
+        # different NUMA node (the stolen task's data is remote). Every
+        # probe, the failed one of our own included, meets the same
+        # contention.
+        for step in range(1, n_threads):
+            victim = (tid + step) % n_threads
             queue = self._queues[victim]
-            probes.append(contenders)
             if queue:
-                task = queue.popleft()
                 return ScheduleDecision(
-                    task=task,
-                    probe_contenders=tuple(probes),
+                    task=self._take(queue),
+                    probe_contenders=(contenders,) * (step + 1),
                     stolen_from_node=self._thread_nodes[victim],
                     was_steal=True,
                 )
-        return None
+        raise SchedulerError("remaining-task count out of sync with queues")

@@ -21,6 +21,7 @@ pruning skew, which is the entire point of Figure 5.
 
 from __future__ import annotations
 
+from repro.errors import SchedulerError
 from repro.sched.base import BaseScheduler
 from repro.simhw.engine import ScheduleDecision, TaskWork
 from repro.simhw.thread import SimThread
@@ -29,42 +30,59 @@ from repro.simhw.thread import SimThread
 class NumaAwareScheduler(BaseScheduler):
     """Partitioned priority queue with local-node-first stealing."""
 
-    def _steal_order(self, thread: SimThread) -> list[int]:
+    def __init__(self) -> None:
+        super().__init__()
+        # Steal orders depend only on (thread id, node) and the
+        # thread->node map, so they are built once per map.
+        self._orders_map: tuple[int, ...] | None = None
+        self._steal_orders: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def assign(self, tasks: list[TaskWork], threads: list[SimThread]) -> None:
+        """Load the tasks; drop cached steal orders if the map changed."""
+        super().assign(tasks, threads)
+        if self._thread_nodes != self._orders_map:
+            self._orders_map = self._thread_nodes
+            self._steal_orders = {}
+
+    def _steal_order(self, thread: SimThread) -> tuple[int, ...]:
         """Partitions to probe: same-node first, then remote, both in
         deterministic id order starting after the caller."""
-        tid = thread.thread_id
-        node = thread.node
-        ring = [(tid + s) % self._n_threads for s in range(1, self._n_threads)]
-        local = [v for v in ring if self._thread_nodes[v] == node]
-        remote = [v for v in ring if self._thread_nodes[v] != node]
-        return local + remote
+        key = (thread.thread_id, thread.node)
+        order = self._steal_orders.get(key)
+        if order is None:
+            tid, node = key
+            n_threads = self._n_threads
+            ring = [(tid + s) % n_threads for s in range(1, n_threads)]
+            local = [v for v in ring if self._thread_nodes[v] == node]
+            remote = [v for v in ring if self._thread_nodes[v] != node]
+            order = self._steal_orders[key] = tuple(local + remote)
+        return order
 
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own partition, then same-node victims, then remote."""
-        tid = thread.thread_id
-        own = self._queues[tid]
+        if not self._n_remaining:
+            return None
+        own = self._queues[thread.thread_id]
+        n_threads = self._n_threads
         # Contention on a partition lock: its owner plus any prowling
         # stealers that reached it. Partitioning keeps this near 1.
-        prowlers_share = 1 + (
-            self._n_prowling() + self._n_threads - 1
-        ) // self._n_threads
+        prowlers_share = 1 + (self._n_prowling + n_threads - 1) // n_threads
         if own:
             return ScheduleDecision(
-                task=own.popleft(),
+                task=self._take(own),
                 probe_contenders=(prowlers_share,),
             )
-        probes: list[int] = [prowlers_share]
-        for victim in self._steal_order(thread):
+        # n_probed counts our own failed probe plus each victim so far;
+        # every probe meets the same contention.
+        for n_probed, victim in enumerate(self._steal_order(thread), 2):
             queue = self._queues[victim]
-            probes.append(prowlers_share)
             if queue:
                 # Steal from the *back* of the victim's queue: the
                 # owner keeps working the front, minimizing interference.
-                task: TaskWork = queue.pop()
                 return ScheduleDecision(
-                    task=task,
-                    probe_contenders=tuple(probes),
+                    task=self._take(queue, back=True),
+                    probe_contenders=(prowlers_share,) * n_probed,
                     stolen_from_node=self._thread_nodes[victim],
                     was_steal=True,
                 )
-        return None
+        raise SchedulerError("remaining-task count out of sync with queues")

@@ -24,4 +24,4 @@ class StaticScheduler(BaseScheduler):
         if not queue:
             return None
         # Static assignment has no shared state, hence no lock probes.
-        return ScheduleDecision(task=queue.popleft(), probe_contenders=())
+        return ScheduleDecision(task=self._take(queue), probe_contenders=())

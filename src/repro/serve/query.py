@@ -47,6 +47,7 @@ from repro.errors import ConfigError, DatasetError
 from repro.mem import use_manager
 from repro.metrics.latency import latency_percentiles
 from repro.runtime.observer import RunObserver, chain_observers
+from repro.sched.blocks import auto_task_rows, build_task_blocks
 from repro.simhw.serving import (
     ArrivalProcess,
     ArrivalTrace,
@@ -236,8 +237,6 @@ class ServePlane:
     def _price_compute(self, m: int) -> float:
         """Simulated nanoseconds to assign ``m`` rows on the machine
         (an assignment-only pass: no centroid reduction)."""
-        from repro.sched.blocks import auto_task_rows, build_task_blocks
-
         tasks = build_task_blocks(
             m, self.d, self.machine,
             dist_per_row=np.full(m, self.k, dtype=np.int64),

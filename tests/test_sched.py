@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
+from repro.perf import legacy
 from repro.sched import (
     FifoScheduler,
     NumaAwareScheduler,
@@ -184,6 +185,84 @@ def test_completeness_under_any_drain_order(
         assert ids == list(range(n_tasks))
 
 
+#: Each live scheduler next to its frozen pre-rework copy.
+ORACLE_PAIRS = [
+    (StaticScheduler, legacy.LegacyStaticScheduler),
+    (FifoScheduler, legacy.LegacyFifoScheduler),
+    (NumaAwareScheduler, legacy.LegacyNumaAwareScheduler),
+]
+
+
+def _decision_key(dec):
+    if dec is None:
+        return None
+    return (
+        dec.task.task_id,
+        dec.probe_contenders,
+        dec.stolen_from_node,
+        dec.was_steal,
+    )
+
+
+def _drain_against_oracle(new, old, tasks, threads, rng):
+    """Random drain order, parked threads included: every call must
+    decide exactly what the oracle decides and leave the same queues."""
+    new.assign(tasks, threads)
+    old.assign(tasks, threads)
+    assert new.queue_lengths() == old.queue_lengths()
+    parked: set[int] = set()
+    while len(parked) < len(threads):
+        thread = threads[int(rng.integers(len(threads)))]
+        got = new.next_task(thread)
+        want = old.next_task(thread)
+        assert _decision_key(got) == _decision_key(want)
+        assert new.queue_lengths() == old.queue_lengths()
+        if got is None:
+            parked.add(thread.thread_id)
+    assert sum(new.queue_lengths()) == 0
+
+
+@seed(20171)
+@settings(max_examples=80, deadline=None)
+@given(
+    n_threads=st.integers(1, 48),
+    n_tasks=st.integers(1, 120),
+    policy=st.sampled_from([BindPolicy.NUMA_BIND, BindPolicy.OBLIVIOUS]),
+    n_threads_next=st.integers(1, 48),
+    drain_seed=st.integers(0, 2**32 - 1),
+)
+@example(n_threads=48, n_tasks=1, policy=BindPolicy.NUMA_BIND,
+         n_threads_next=48, drain_seed=0)
+@example(n_threads=48, n_tasks=1, policy=BindPolicy.OBLIVIOUS,
+         n_threads_next=48, drain_seed=1)
+@example(n_threads=48, n_tasks=13, policy=BindPolicy.NUMA_BIND,
+         n_threads_next=5, drain_seed=2)
+@example(n_threads=1, n_tasks=7, policy=BindPolicy.OBLIVIOUS,
+         n_threads_next=3, drain_seed=3)
+def test_decisions_match_frozen_oracle(
+    n_threads, n_tasks, policy, n_threads_next, drain_seed
+):
+    """Every scheduler decides call for call what its pre-rework copy
+    in :mod:`repro.perf.legacy` decides. Each instance is reused for a
+    second phase on another thread->node map, so cached steal orders
+    must follow the map."""
+    rng = np.random.default_rng(drain_seed)
+    topo = FOUR_SOCKET_XEON.topology
+    other = (
+        BindPolicy.OBLIVIOUS if policy is BindPolicy.NUMA_BIND
+        else BindPolicy.NUMA_BIND
+    )
+    phases = [
+        (make_tasks(n_tasks), spawn_threads(topo, n_threads, policy)),
+        (make_tasks(n_tasks // 2 + 1),
+         spawn_threads(topo, n_threads_next, other)),
+    ]
+    for new_cls, old_cls in ORACLE_PAIRS:
+        new, old = new_cls(), old_cls()
+        for tasks, threads in phases:
+            _drain_against_oracle(new, old, tasks, threads, rng)
+
+
 class TestBuildTaskBlocks:
     def test_block_aggregation(self):
         machine = SimMachine.build(FOUR_SOCKET_XEON, n_threads=4)
@@ -222,6 +301,54 @@ class TestBuildTaskBlocks:
                 10, 8, machine, dist_per_row=np.zeros(10),
                 needs_data=np.ones(3, dtype=bool),
             )
+
+    def test_rejects_non_integer_counts(self):
+        machine = SimMachine.build(FOUR_SOCKET_XEON, n_threads=2)
+        with pytest.raises(SchedulerError, match="integer counts"):
+            build_task_blocks(10, 8, machine, dist_per_row=np.ones(10))
+
+    @seed(8192)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 2000),
+        task_rows=st.integers(1, 700),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        mask=st.sampled_from(["none", "random", "all", "empty"]),
+        policy=st.sampled_from([BindPolicy.NUMA_BIND,
+                                BindPolicy.OBLIVIOUS]),
+        n_threads=st.integers(1, 48),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_rows=2000, task_rows=64, dtype=np.int32, mask="random",
+             policy=BindPolicy.NUMA_BIND, n_threads=48, data_seed=0)
+    def test_matches_frozen_oracle(
+        self, n_rows, task_rows, dtype, mask, policy, n_threads, data_seed
+    ):
+        """Ragged last blocks, every mask form and both count dtypes the
+        callers pass; int32 counts near their maximum check that block
+        sums are widened before they could overflow."""
+        rng = np.random.default_rng(data_seed)
+        machine = SimMachine.build(
+            FOUR_SOCKET_XEON, n_threads=n_threads, bind_policy=policy
+        )
+        high = np.iinfo(np.int32).max if dtype is np.int32 else 2**40
+        dist = rng.integers(0, high, n_rows, endpoint=True).astype(dtype)
+        needs = {
+            "none": None,
+            "random": rng.random(n_rows) < 0.5,
+            "all": np.ones(n_rows, dtype=bool),
+            "empty": np.zeros(n_rows, dtype=bool),
+        }[mask]
+        kwargs = dict(
+            dist_per_row=dist, needs_data=needs, task_rows=task_rows,
+            state_bytes_per_row=12 if mask == "none" else 4,
+        )
+        got = build_task_blocks(n_rows, 8, machine, **kwargs)
+        want = legacy.build_task_blocks(n_rows, 8, machine, **kwargs)
+        assert got == want
+        assert all(
+            type(v) is int for t in got for v in vars(t).values()
+        )
 
     def test_auto_task_rows_bounds(self):
         assert auto_task_rows(1_000_000_000, 48) == 8192

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import SchedulerError
-from repro.sched import NumaAwareScheduler, StaticScheduler
+from repro.sched import (
+    FifoScheduler,
+    NumaAwareScheduler,
+    StaticScheduler,
+)
 from repro.simhw import (
     BindPolicy,
     FOUR_SOCKET_XEON,
@@ -211,7 +215,7 @@ def _mixed_tasks(n_tasks, n_nodes):
 
 @pytest.mark.parametrize("policy", [BindPolicy.NUMA_BIND,
                                     BindPolicy.OBLIVIOUS])
-@pytest.mark.parametrize("sched_cls", [StaticScheduler,
+@pytest.mark.parametrize("sched_cls", [StaticScheduler, FifoScheduler,
                                        NumaAwareScheduler])
 @pytest.mark.parametrize("n_threads", [1, 3, 8])
 def test_run_matches_reference(policy, sched_cls, n_threads):
@@ -231,10 +235,9 @@ def test_run_matches_reference(policy, sched_cls, n_threads):
 
 
 def test_run_matches_reference_fifo_shared_queue():
-    """FIFO's single shared queue exercises the contended-lock pricing
-    and the end-of-phase single-runnable-thread drain."""
-    from repro.sched import FifoScheduler
-
+    """FIFO's per-thread partitions with id-order stealing exercise the
+    contended-lock pricing and the end-of-phase single-runnable-thread
+    drain."""
     cm = FOUR_SOCKET_XEON
     tasks = _mixed_tasks(40, cm.topology.n_nodes)
     engine = IterationEngine(cm, record_executions=True)
