@@ -178,7 +178,12 @@ def half_min_inter_centroid(
     k = cc.shape[0]
     if k == 1:
         # A single centroid has no neighbour; clause 1 always holds.
-        return np.array([np.inf])
+        # Fill ``out`` rather than returning a fresh array: a caller
+        # that owns ``out`` (the workspace) must keep its buffer.
+        if out is None:
+            return np.array([np.inf])
+        out.fill(np.inf)
+        return out
     masked = np.empty_like(cc) if scratch is None else scratch
     np.copyto(masked, cc)
     np.fill_diagonal(masked, np.inf)

@@ -24,10 +24,24 @@ The paper's prose omits the 1/2 factors; Elkan's Lemma 1 requires them
 knor code uses them. We implement the correct form and property-test
 that MTI's assignments match unpruned Lloyd's exactly.
 
+Each clause makes one pass over the clause-1 survivors. Clause 2
+gathers the halved rows ``0.5 * d(b, c)`` once, compares them with the
+loose bounds once and clears the own column; one per-row count yields
+both the clause-2 tally and the rows that tighten (those with a loose
+candidate). Clause 3 narrows the same mask in place. On finite data
+every survivor tightens, so the survivor arrays are reused rather than
+re-gathered. Candidate distances come from one ``euclidean`` GEMM over
+every gathered candidate row: BLAS rounds a GEMM of a few rows or one
+column differently from the same rows inside a larger GEMM, so
+per-row, per-block or per-centroid kernels could not stay
+bit-identical.
+
 Centroid updates are *incremental*: only points that changed membership
 move between the persistent per-cluster sums, so clause-1-skipped rows
 contribute no memory traffic -- this is what makes clause 1 an I/O
-elision in the semi-external module.
+elision in the semi-external module. The changed rows are taken from
+the candidate rows in ascending order, the order a full scan would
+give, so the sums accumulate identically.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ from repro.core.distance import (
     half_min_inter_centroid,
     nearest_centroid,
     pairwise_centroid_distances,
+    row_norms,
     rows_to_centroids,
 )
 from repro.errors import DatasetError
@@ -85,6 +100,14 @@ class MtiIterationResult:
     tightened_rows: int = 0
     computed: int = 0  # candidate distances actually evaluated
     extra: dict = field(default_factory=dict)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Per-row ``True`` counts of a 2-D mask as int32. On short rows
+    einsum's reduction is several times faster than
+    ``count_nonzero(axis=1)``; the counts are exact integers either
+    way."""
+    return np.einsum("ij->i", mask, dtype=np.int32)
 
 
 def mti_init(
@@ -169,102 +192,102 @@ def mti_iteration(
         s = half_min_inter_centroid(cc)
 
     assign = state.assignment
-    old_assign = assign.copy()
+    ub = state.ub
 
     # Clause 1: the whole row is skipped (no compute, no I/O).
-    clause1 = state.ub <= s[assign]
-    active_idx = np.nonzero(~clause1)[0]
-
-    dist_per_row = np.zeros(n, dtype=np.int32)
-    needs_data = np.zeros(n, dtype=bool)
+    clause1 = ub <= s[assign]
     # Per Section 6.2.1, only clause 1 elides the I/O request: the row
     # data for every non-clause-1 row is requested (the tighten step
     # may need it, and the request is issued before the per-centroid
     # clauses are evaluated).
-    needs_data[active_idx] = True
+    needs_data = ~clause1
+    active_idx = np.flatnonzero(needs_data)
+    m = active_idx.size
 
+    dist_per_row = np.zeros(n, dtype=np.int32)
     clause2_pruned = 0
     clause3_pruned = 0
     computed = 0
     n_tightened = 0
+    # Rows that switch cluster and the clusters they leave (none yet).
+    changed = frm = active_idx[:0]
 
-    if active_idx.size:
-        xa = x[active_idx]
+    if m:
         ba = assign[active_idx]
-        ua = state.ub[active_idx]
-        half_cc = 0.5 * cc[ba]  # (m, k): 0.5 * d(b(x), c)
-        other = np.ones((active_idx.size, k), dtype=bool)
-        other[np.arange(active_idx.size), ba] = False
+        # Clause 2 with the loose bound in one pass: gather the halved
+        # rows 0.5 * d(b(x), c), compare, clear the own column.
+        half = np.take(0.5 * cc, ba, axis=0)
+        loose = ub[active_idx][:, None] > half
+        loose[np.arange(m), ba] = False
+        n_loose = _row_counts(loose)
+        n_loose_all = int(n_loose.sum())
+        clause2_pruned = m * (k - 1) - n_loose_all
 
-        # Clause 2 with the loose bound.
-        loose_candidate = other & (ua[:, None] > half_cc)
-        clause2_pruned = int(other.sum() - loose_candidate.sum())
-
-        tighten_mask = loose_candidate.any(axis=1)
-        t_idx = np.nonzero(tighten_mask)[0]  # positions within active
-        n_tightened = int(t_idx.size)
-        if t_idx.size:
-            xt = xa[t_idx]
-            bt = ba[t_idx]
-            ga = active_idx[t_idx]  # global row indices
+        # Rows with a loose candidate tighten. On finite data that is
+        # every survivor (u > s(b) beats the nearest centroid's half
+        # distance), so ``sel`` is usually a view, not a gather.
+        t_pos = np.flatnonzero(n_loose)
+        n_tightened = int(t_pos.size)
+        if n_tightened:
+            sel = t_pos if n_tightened < m else slice(None)
+            ga = active_idx[sel]  # global row indices, ascending
+            bt = ba[sel]
+            loose = loose[sel]
+            xt = np.take(x, ga, axis=0)
+            xt_sq = row_norms(xt) if x_sq_full is None else x_sq_full[ga]
             # U(u): exact d(x, b).
             ut = rows_to_centroids(
-                xt, centroids, bt, c_sq=c_sq,
-                x_sq=None if x_sq_full is None else x_sq_full[ga],
-            )
-            computed += int(t_idx.size)
-
-            # Clause 3 with the tightened bound.
-            tight_candidate = loose_candidate[t_idx] & (
-                ut[:, None] > half_cc[t_idx]
-            )
-            clause3_pruned = int(
-                loose_candidate[t_idx].sum() - tight_candidate.sum()
+                xt, centroids, bt, c_sq=c_sq, x_sq=xt_sq
             )
 
-            row_has_cand = tight_candidate.any(axis=1)
-            c_idx = np.nonzero(row_has_cand)[0]  # positions within t_idx
-            new_ub_t = ut.copy()
-            new_assign_t = bt.copy()
-            if c_idx.size:
+            # Clause 3 with the tightened bound, narrowing the mask.
+            loose &= ut[:, None] > half[sel]
+            n_cand = _row_counts(loose)
+            n_cand_all = int(n_cand.sum())
+            clause3_pruned = n_loose_all - n_cand_all
+            computed = n_tightened + n_cand_all
+            dist_per_row[ga] = 1 + n_cand
+
+            c_pos = np.flatnonzero(n_cand)
+            nc = c_pos.size
+            if nc:
+                sel = c_pos if nc < n_tightened else slice(None)
+                bc = bt[sel]
+                # One GEMM over every candidate row, never split: BLAS
+                # bits depend on the GEMM's shape.
                 dist = euclidean(
-                    xt[c_idx], centroids, c_sq=c_sq,
+                    xt[sel], centroids, c_sq=c_sq, x_sq=xt_sq[sel],
                     out=(
                         None if workspace is None
-                        else workspace.dist_buffer(c_idx.size)
-                    ),
-                    x_sq=(
-                        None if x_sq_full is None
-                        else x_sq_full[ga[c_idx]]
+                        else workspace.dist_buffer(nc)
                     ),
                 )
-                cand = tight_candidate[c_idx]
-                computed += int(cand.sum())
                 # The algorithm only "sees" candidate distances plus
                 # the tightened own distance; mask everything else so
                 # a pruning bug would surface as a wrong assignment.
-                masked = np.where(cand, dist, np.inf)
-                masked[np.arange(c_idx.size), bt[c_idx]] = ut[c_idx]
-                best = np.argmin(masked, axis=1).astype(np.int32)
-                bestdist = masked[np.arange(c_idx.size), best]
-                new_assign_t[c_idx] = best
-                new_ub_t[c_idx] = bestdist
+                pruned = loose[sel]
+                np.logical_not(pruned, out=pruned)
+                np.putmask(dist, pruned, np.inf)
+                rows = np.arange(nc)
+                dist[rows, bc] = ut[sel]
+                best = np.argmin(dist, axis=1).astype(np.int32)
+                ut[sel] = dist[rows, best]
+                moved = np.flatnonzero(best != bc)
+                # Ascending, like a full ``assign != old`` scan, so
+                # move_rows accumulates in the same order.
+                changed = ga[sel][moved]
+                frm = bc[moved]
+                assign[changed] = best[moved]
 
-            # Write back tightened bounds and any reassignments.
-            state.ub[ga] = new_ub_t
-            assign[ga] = new_assign_t
-
-            dist_per_row[ga] = 1 + tight_candidate.sum(axis=1).astype(
-                np.int32
-            )
+            # Write back the tightened bounds.
+            ub[ga] = ut
 
     # Incremental centroid update: move only the rows that changed.
-    changed = np.nonzero(assign != old_assign)[0]
     n_changed = int(changed.size)
     if n_changed:
         move_rows(
-            state.sums, state.counts,
-            x[changed], old_assign[changed], assign[changed],
+            state.sums, state.counts, x[changed], frm,
+            assign[changed],
             scratch=None if workspace is None else workspace.accum,
         )
 
@@ -280,7 +303,7 @@ def mti_iteration(
         dist_per_row=dist_per_row,
         needs_data=needs_data,
         motion=motion,
-        clause1_rows=int(clause1.sum()),
+        clause1_rows=n - m,
         clause2_pruned=clause2_pruned,
         clause3_pruned=clause3_pruned,
         tightened_rows=n_tightened,

@@ -24,8 +24,10 @@ import numpy as np
 import abc
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.core import centroids as core_centroids
+from repro.core import distance as core_distance
 from repro.core.mti import MtiIterationResult, MtiState
 from repro.errors import (
     DatasetError,
@@ -37,6 +39,9 @@ from repro.simhw.engine import ScheduleDecision, TaskWork
 from repro.simhw.machine import SimMachine
 from repro.simhw.ssd import SsdArray, SsdReadResult
 from repro.simhw.thread import SimThread
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.workspace import DistanceWorkspace
 
 #: Block size of the pre-change ``nearest_centroid`` (unchanged since).
 BLOCK_ROWS = 65536
@@ -290,6 +295,177 @@ def mti_iteration(
             )
         state.counts -= np.bincount(frm, minlength=k)
         state.counts += np.bincount(to, minlength=k)
+
+    new_centroids = centroids.copy()
+    nonzero = state.counts > 0
+    new_centroids[nonzero] = (
+        state.sums[nonzero] / state.counts[nonzero, None]
+    )
+
+    return MtiIterationResult(
+        new_centroids=new_centroids,
+        n_changed=n_changed,
+        dist_per_row=dist_per_row,
+        needs_data=needs_data,
+        motion=motion,
+        clause1_rows=int(clause1.sum()),
+        clause2_pruned=clause2_pruned,
+        clause3_pruned=clause3_pruned,
+        tightened_rows=n_tightened,
+        computed=computed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# MTI super-phase frozen before the single-pass clause rewrite: the
+# workspace-aware body with one boolean mask per clause. The equivalence
+# suite runs both kernels side by side and asserts every field and counter.
+# ---------------------------------------------------------------------------
+
+
+def mti_iteration_masked(
+    x: np.ndarray,
+    centroids: np.ndarray,
+    prev_centroids: np.ndarray,
+    state: MtiState,
+    *,
+    workspace: "DistanceWorkspace | None" = None,
+) -> MtiIterationResult:
+    """MTI super-phase with masked clause evaluation, as it stood before
+    the single-pass rewrite: per clause, a full ``other``/loose/tight
+    mask with its own reductions, ``np.where`` masking, and re-gathers
+    of the survivors. Verbatim apart from the module-qualified kernel
+    names (this module's own ``euclidean`` etc. are the pre-workspace
+    copies); the workspace and gemm norm cache are supported as
+    before."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    k = centroids.shape[0]
+    if state.n != n:
+        raise DatasetError(
+            f"state tracks {state.n} rows but data has {n}"
+        )
+
+    # f(c): how far each centroid moved since last iteration.
+    motion = core_distance.rows_to_centroids(centroids, prev_centroids, np.arange(k))
+    # Loosen every upper bound by its centroid's motion.
+    state.ub += motion[state.assignment]
+
+    c_sq = None
+    x_sq_full = None
+    if workspace is not None:
+        centroids = workspace.ensure(centroids)
+        c_sq = workspace.c_sq
+        cc = workspace.pairwise()
+        s = workspace.half_min()
+        if workspace.kernel == "gemm":
+            # The gemm strategy's per-array norm cache feeds the
+            # tighten and candidate passes; gathered norms are
+            # bit-identical to inline per-row reductions.
+            x_sq_full = workspace.x_sq(x)
+    else:
+        cc = core_distance.pairwise_centroid_distances(centroids)
+        s = core_distance.half_min_inter_centroid(cc)
+
+    assign = state.assignment
+    old_assign = assign.copy()
+
+    # Clause 1: the whole row is skipped (no compute, no I/O).
+    clause1 = state.ub <= s[assign]
+    active_idx = np.nonzero(~clause1)[0]
+
+    dist_per_row = np.zeros(n, dtype=np.int32)
+    needs_data = np.zeros(n, dtype=bool)
+    # Per Section 6.2.1, only clause 1 elides the I/O request: the row
+    # data for every non-clause-1 row is requested (the tighten step
+    # may need it, and the request is issued before the per-centroid
+    # clauses are evaluated).
+    needs_data[active_idx] = True
+
+    clause2_pruned = 0
+    clause3_pruned = 0
+    computed = 0
+    n_tightened = 0
+
+    if active_idx.size:
+        xa = x[active_idx]
+        ba = assign[active_idx]
+        ua = state.ub[active_idx]
+        half_cc = 0.5 * cc[ba]  # (m, k): 0.5 * d(b(x), c)
+        other = np.ones((active_idx.size, k), dtype=bool)
+        other[np.arange(active_idx.size), ba] = False
+
+        # Clause 2 with the loose bound.
+        loose_candidate = other & (ua[:, None] > half_cc)
+        clause2_pruned = int(other.sum() - loose_candidate.sum())
+
+        tighten_mask = loose_candidate.any(axis=1)
+        t_idx = np.nonzero(tighten_mask)[0]  # positions within active
+        n_tightened = int(t_idx.size)
+        if t_idx.size:
+            xt = xa[t_idx]
+            bt = ba[t_idx]
+            ga = active_idx[t_idx]  # global row indices
+            # U(u): exact d(x, b).
+            ut = core_distance.rows_to_centroids(
+                xt, centroids, bt, c_sq=c_sq,
+                x_sq=None if x_sq_full is None else x_sq_full[ga],
+            )
+            computed += int(t_idx.size)
+
+            # Clause 3 with the tightened bound.
+            tight_candidate = loose_candidate[t_idx] & (
+                ut[:, None] > half_cc[t_idx]
+            )
+            clause3_pruned = int(
+                loose_candidate[t_idx].sum() - tight_candidate.sum()
+            )
+
+            row_has_cand = tight_candidate.any(axis=1)
+            c_idx = np.nonzero(row_has_cand)[0]  # positions within t_idx
+            new_ub_t = ut.copy()
+            new_assign_t = bt.copy()
+            if c_idx.size:
+                dist = core_distance.euclidean(
+                    xt[c_idx], centroids, c_sq=c_sq,
+                    out=(
+                        None if workspace is None
+                        else workspace.dist_buffer(c_idx.size)
+                    ),
+                    x_sq=(
+                        None if x_sq_full is None
+                        else x_sq_full[ga[c_idx]]
+                    ),
+                )
+                cand = tight_candidate[c_idx]
+                computed += int(cand.sum())
+                # The algorithm only "sees" candidate distances plus
+                # the tightened own distance; mask everything else so
+                # a pruning bug would surface as a wrong assignment.
+                masked = np.where(cand, dist, np.inf)
+                masked[np.arange(c_idx.size), bt[c_idx]] = ut[c_idx]
+                best = np.argmin(masked, axis=1).astype(np.int32)
+                bestdist = masked[np.arange(c_idx.size), best]
+                new_assign_t[c_idx] = best
+                new_ub_t[c_idx] = bestdist
+
+            # Write back tightened bounds and any reassignments.
+            state.ub[ga] = new_ub_t
+            assign[ga] = new_assign_t
+
+            dist_per_row[ga] = 1 + tight_candidate.sum(axis=1).astype(
+                np.int32
+            )
+
+    # Incremental centroid update: move only the rows that changed.
+    changed = np.nonzero(assign != old_assign)[0]
+    n_changed = int(changed.size)
+    if n_changed:
+        core_centroids.move_rows(
+            state.sums, state.counts,
+            x[changed], old_assign[changed], assign[changed],
+            scratch=None if workspace is None else workspace.accum,
+        )
 
     new_centroids = centroids.copy()
     nonzero = state.counts > 0

@@ -323,6 +323,23 @@ class TestWorkspaceIntegration:
         ws.release()
         assert m.counters().live_bytes == 0
 
+    @pytest.mark.parametrize("mem", ["arena", "budget"])
+    def test_single_centroid_release_drains_manager(self, mem):
+        # With k=1 the clause-1 threshold has no neighbour to take a
+        # minimum over; half_min() must still fill the workspace's own
+        # buffer instead of rebinding it to a fresh array.
+        m = build_manager(mem, budget_bytes=1 << 20)
+        ws = DistanceWorkspace(1, 3, mem=m)
+        s_buf = ws._s
+        ws.ensure(np.random.default_rng(0).normal(size=(1, 3)))
+        s = ws.half_min()
+        assert s is s_buf
+        assert np.array_equal(s, [np.inf])
+        ws.release()
+        counters = m.counters()
+        assert counters.live_bytes == 0
+        assert counters.n_frees == counters.n_allocs
+
     def test_x_sq_cache_is_weakref_observed(self):
         # Satellite 1: the norm cache must not pin the data matrix.
         m = ArenaManager()
