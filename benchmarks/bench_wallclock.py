@@ -7,8 +7,11 @@ counterparts (:mod:`repro.perf.legacy`) and writes the results to
 * **Kernel layer** -- accumulation (flat-index bincount vs per-dim
   loop), blocked ``nearest_centroid`` (workspace vs fresh temporaries),
   the clause-1 threshold, and a full MTI pipeline (init + iterations).
-* **Engine replay** -- the optimized event loop vs the verbatim
-  reference loop on an identical task stream.
+* **Engine replay** -- the shipped replay vs the verbatim reference
+  loop on identical task streams: heterogeneous work with steals
+  (``replay``) and uniform work shaped like an unpruned knors phase,
+  ~1,536 blocks on 48 threads (``replay_uniform``), where the
+  closed-form steal-free prefix carries almost every task.
 * **End-to-end** -- one knori run before (legacy kernels + reference
   engine loop, monkeypatched in) and after, asserted bit-identical;
   one knors and one knord run timed on the optimized path.
@@ -42,11 +45,12 @@ from repro.core.mti import mti_init, mti_iteration  # noqa: E402
 from repro.core.workspace import DistanceWorkspace  # noqa: E402
 from repro.perf import before_after, time_callable  # noqa: E402
 from repro.perf import legacy  # noqa: E402
-from repro.sched import NumaAwareScheduler  # noqa: E402
+from repro.sched import NumaAwareScheduler, build_task_blocks  # noqa: E402
 from repro.simhw import (  # noqa: E402
     BindPolicy,
     FOUR_SOCKET_XEON,
     IterationEngine,
+    SimMachine,
     TaskWork,
 )
 from repro.simhw.engine import IterationTrace  # noqa: E402
@@ -172,9 +176,10 @@ def bench_mti_pipeline(n, d, k, iters, repeats):
 # -- engine replay ---------------------------------------------------
 
 
-def bench_engine_replay(n_tasks, n_threads, repeats):
+def _mixed_replay_tasks(n_tasks):
+    """Heterogeneous work (1-10x per task) homed round-robin: steals."""
     cm = FOUR_SOCKET_XEON
-    tasks = [
+    return [
         TaskWork(
             task_id=i,
             n_rows=8192,
@@ -185,6 +190,22 @@ def bench_engine_replay(n_tasks, n_threads, repeats):
         )
         for i in range(n_tasks)
     ]
+
+
+def _uniform_replay_tasks(n_tasks, n_threads, task_rows=68, d=8, k=8):
+    """Uniform work laid out like an unpruned knors phase: contiguous
+    blocks homed on their owner's node, so almost every take is an own
+    take (the last, short block is the only odd one)."""
+    machine = SimMachine.build(FOUR_SOCKET_XEON, n_threads=n_threads)
+    n_rows = n_tasks * task_rows - task_rows // 2
+    return build_task_blocks(
+        n_rows, d, machine,
+        dist_per_row=np.full(n_rows, k), task_rows=task_rows,
+    )
+
+
+def bench_engine_replay(tasks, n_threads, repeats):
+    cm = FOUR_SOCKET_XEON
     engine = IterationEngine(cm, bind_policy=BindPolicy.NUMA_BIND)
 
     def before() -> IterationTrace:
@@ -204,8 +225,9 @@ def bench_engine_replay(n_tasks, n_threads, repeats):
     t_b, t_a = before(), after()
     assert t_b.thread_clocks_ns == t_a.thread_clocks_ns
     assert t_b.total_ns == t_a.total_ns
+    assert t_b.total_steals == t_a.total_steals
     return _ba(before, after, repeats) | {
-        "n_tasks": n_tasks, "n_threads": n_threads
+        "n_tasks": len(tasks), "n_threads": n_threads
     }
 
 
@@ -335,6 +357,7 @@ def main(argv=None) -> int:
         hm = dict(k=64, d=16, calls=50)
         mti = dict(n=10_000, d=8, k=16, iters=3)
         eng = dict(n_tasks=64, n_threads=16)
+        uni = dict(n_tasks=1536, n_threads=48)
         e2e = dict(n=6_000, d=8, k=8, max_iters=6)
     else:
         repeats = 5
@@ -343,6 +366,7 @@ def main(argv=None) -> int:
         hm = dict(k=64, d=32, calls=200)
         mti = dict(n=60_000, d=16, k=32, iters=5)
         eng = dict(n_tasks=512, n_threads=48)
+        uni = dict(n_tasks=1536, n_threads=48)
         e2e = dict(n=40_000, d=16, k=16, max_iters=10)
 
     results = {
@@ -370,7 +394,13 @@ def main(argv=None) -> int:
             "mti_pipeline": bench_mti_pipeline(repeats=repeats, **mti),
         },
         "engine": {
-            "replay": bench_engine_replay(repeats=repeats, **eng),
+            "replay": bench_engine_replay(
+                _mixed_replay_tasks(eng["n_tasks"]), eng["n_threads"],
+                repeats,
+            ),
+            "replay_uniform": bench_engine_replay(
+                _uniform_replay_tasks(**uni), uni["n_threads"], repeats
+            ),
         },
         "end_to_end": bench_end_to_end(repeats=repeats, **e2e),
     }
@@ -380,9 +410,9 @@ def main(argv=None) -> int:
     for name, r in results["kernels"].items():
         print(f"  {name:28s} {r['speedup']:.2f}x "
               f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s)")
-    r = results["engine"]["replay"]
-    print(f"  {'engine replay':28s} {r['speedup']:.2f}x "
-          f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s)")
+    for name, r in results["engine"].items():
+        print(f"  {'engine ' + name:28s} {r['speedup']:.2f}x "
+              f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s)")
     r = results["end_to_end"]["knori"]
     print(f"  {'knori end-to-end':28s} {r['speedup']:.2f}x "
           f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s, "

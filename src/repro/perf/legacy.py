@@ -39,6 +39,7 @@ from repro.simhw.engine import ScheduleDecision, TaskWork
 from repro.simhw.machine import SimMachine
 from repro.simhw.ssd import SsdArray, SsdReadResult
 from repro.simhw.thread import SimThread
+from repro.simhw.topology import BindPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.workspace import DistanceWorkspace
@@ -972,8 +973,14 @@ def build_task_blocks(
         rows = stop - start
         n_dist = int(dist_per_row[start:stop].sum())
         data_rows = int(needs_data_arr[start:stop].sum())
-        # Home node: where this block's slice of the dataset lives.
+        # Home node: where this block's slice of the dataset lives
+        # (Figure 1's owning thread's node; node 0 when oblivious).
         frac = start / n_rows
+        if machine.bind_policy is BindPolicy.OBLIVIOUS:
+            home = 0
+        else:
+            owner = min(int(frac * machine.n_threads), machine.n_threads - 1)
+            home = machine.threads[owner].node
         tasks.append(
             TaskWork(
                 task_id=block,
@@ -981,7 +988,7 @@ def build_task_blocks(
                 n_dist=n_dist,
                 data_bytes=data_rows * row_bytes,
                 state_bytes=rows * state_bytes_per_row,
-                home_node=machine.node_of_row_block(frac),
+                home_node=home,
             )
         )
     return tasks

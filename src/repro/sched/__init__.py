@@ -21,8 +21,16 @@ the engine's ``next_task`` calls with
 :class:`repro.simhw.ScheduleDecision` records that carry exact lock
 probe counts, so queue contention is charged faithfully.
 
-The engine calls ``next_task`` once per dispatch and once more per
-thread as it parks, so the bookkeeping is O(1) per call:
+Each policy also describes its own-partition take
+(``own_queue_takes``: the partitions in pop order, the probe tuple an
+own take meets given how many partitions are empty, and whether idle
+threads steal), and ``commit_own_takes`` pops what the engine replayed
+from it. The engine replays every take before the first possible steal
+in closed form and calls ``next_task`` only from there on, and only if
+tasks remain: once per later dispatch and once per thread as it parks.
+A subclass
+that overrides ``next_task`` gets no description and runs every task
+through ``next_task``. The bookkeeping is O(1) per call:
 
 * ``next_task`` returning ``None`` has no side effects.
 * Own-queue pops and calls after the phase has drained cost O(1): the

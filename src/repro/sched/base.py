@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import abc
+import inspect
 from collections import deque
+from typing import Callable, ClassVar, Mapping
 
 from repro.errors import SchedulerError
-from repro.simhw.engine import ScheduleDecision, TaskWork
+from repro.simhw.engine import OwnQueueTakes, ScheduleDecision, TaskWork
 from repro.simhw.thread import SimThread
+
+NextTask = Callable[..., "ScheduleDecision | None"]
+
+
+def describes_own_takes(next_task: NextTask) -> NextTask:
+    """Mark a policy's ``next_task`` as one whose own-partition take is
+    exactly what :meth:`BaseScheduler.own_queue_takes` describes: pop
+    the front of the caller's partition, meet
+    :meth:`BaseScheduler.own_probes` of the current empty-partition
+    count, touch nothing else. A subclass that overrides ``next_task``
+    without this mark gets no closed-form replay."""
+    next_task.describes_own_takes = True  # type: ignore[attr-defined]
+    return next_task
 
 
 def owner_of_task(task_id: int, n_tasks: int, n_threads: int) -> int:
@@ -32,6 +47,10 @@ class BaseScheduler(abc.ABC):
     contending on everyone else's partition lock. A dispatch reads them
     in O(1) instead of scanning all ``T`` partitions.
     """
+
+    #: Whether a thread whose own partition is empty steals from the
+    #: others (True) or parks at the barrier (False).
+    steals: ClassVar[bool] = True
 
     def __init__(self) -> None:
         self._queues: list[deque[TaskWork]] = []
@@ -64,6 +83,41 @@ class BaseScheduler(abc.ABC):
     def queue_lengths(self) -> list[int]:
         """Remaining tasks per partition (for tests and introspection)."""
         return [len(q) for q in self._queues]
+
+    def own_probes(self, n_empty: int) -> tuple[int, ...]:
+        """Probe tuple an own-partition take meets while ``n_empty``
+        partitions are empty: one lock, contended by its owner plus
+        the prowling stealers' per-lock share ``ceil(n_empty / T)``.
+        A failed steal scan meets the same contention at every probe.
+        """
+        n_threads = self._n_threads
+        return (1 + (n_empty + n_threads - 1) // n_threads,)
+
+    def own_queue_takes(self) -> OwnQueueTakes | None:
+        """Describe this phase's own-partition takes for the engine's
+        closed-form replay, or ``None`` when ``type(self).next_task``
+        is not an implementation marked with
+        :func:`describes_own_takes` (a wrapper that sets
+        ``__wrapped__`` counts as what it wraps)."""
+        impl = inspect.unwrap(type(self).next_task)
+        if not getattr(impl, "describes_own_takes", False):
+            return None
+        return OwnQueueTakes(
+            queues=self._queues, probes=self.own_probes, steals=self.steals
+        )
+
+    def commit_own_takes(self, counts: Mapping[int, int]) -> None:
+        """Pop the first ``counts[t]`` tasks of partition ``t``: the
+        takes the engine replayed in closed form."""
+        for tid, n in counts.items():
+            queue = self._queues[tid]
+            if n == len(queue):
+                queue.clear()
+                self._n_prowling += 1
+            else:
+                for _ in range(n):
+                    queue.popleft()
+            self._n_remaining -= n
 
     def _take(self, queue: deque[TaskWork], *, back: bool = False) -> TaskWork:
         """Pop one task from ``queue`` and keep the counters current."""

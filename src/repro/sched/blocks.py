@@ -99,25 +99,27 @@ def build_task_blocks(
     # widened before they are summed, so no block can overflow).
     starts = np.arange(0, n_rows, task_rows)
     n_dist = np.add.reduceat(dist_per_row, starts, dtype=np.int64).tolist()
-    data_rows = (
-        None if needs_data is None
-        else np.add.reduceat(needs_data, starts, dtype=np.int64).tolist()
-    )
+    n_blocks = len(n_dist)
+    last_rows = n_rows - (n_blocks - 1) * task_rows  # may be short
+
+    def per_block(per_row: int) -> list[int]:
+        return [task_rows * per_row] * (n_blocks - 1) + [last_rows * per_row]
+
     row_bytes = d * itemsize
-    tasks: list[TaskWork] = []
-    for block, dist in enumerate(n_dist):
-        start = block * task_rows
-        rows = min(task_rows, n_rows - start)  # the last block may be short
-        data = rows if data_rows is None else data_rows[block]
-        # Home node: where this block's slice of the dataset lives.
-        tasks.append(
-            TaskWork(
-                task_id=block,
-                n_rows=rows,
-                n_dist=dist,
-                data_bytes=data * row_bytes,
-                state_bytes=rows * state_bytes_per_row,
-                home_node=machine.node_of_row_block(start / n_rows),
-            )
-        )
-    return tasks
+    data_bytes = (
+        per_block(row_bytes) if needs_data is None
+        else (
+            np.add.reduceat(needs_data, starts, dtype=np.int64) * row_bytes
+        ).tolist()
+    )
+    # TaskWork fields in order; the home node is where each block's
+    # slice of the dataset lives.
+    return list(map(
+        TaskWork,
+        range(n_blocks),
+        per_block(1),
+        n_dist,
+        data_bytes,
+        per_block(state_bytes_per_row),
+        machine.block_home_nodes(starts, n_rows),
+    ))

@@ -11,7 +11,7 @@ stealing pool performs.
 from __future__ import annotations
 
 from repro.errors import SchedulerError
-from repro.sched.base import BaseScheduler
+from repro.sched.base import BaseScheduler, describes_own_takes
 from repro.simhw.engine import ScheduleDecision
 from repro.simhw.thread import SimThread
 
@@ -19,33 +19,33 @@ from repro.simhw.thread import SimThread
 class FifoScheduler(BaseScheduler):
     """Partitioned queues, steal from anyone in thread-id order."""
 
+    @describes_own_takes
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own queue first, then steal from any backlog in id order."""
         if not self._n_remaining:
             return None
         tid = thread.thread_id
         own = self._queues[tid]
-        n_threads = self._n_threads
         # Prowling stealers spread over T partition locks; the expected
         # contention on any one lock is their per-lock share.
-        contenders = 1 + (self._n_prowling + n_threads - 1) // n_threads
+        probes = self.own_probes(self._n_prowling)
         if own:
             return ScheduleDecision(
-                task=self._take(own),
-                probe_contenders=(contenders,),
+                task=self._take(own), probe_contenders=probes
             )
         # Steal scan: walk partitions in id order starting after ours --
         # topology-oblivious, so the first victim found is usually on a
         # different NUMA node (the stolen task's data is remote). Every
         # probe, the failed one of our own included, meets the same
         # contention.
+        n_threads = self._n_threads
         for step in range(1, n_threads):
             victim = (tid + step) % n_threads
             queue = self._queues[victim]
             if queue:
                 return ScheduleDecision(
                     task=self._take(queue),
-                    probe_contenders=(contenders,) * (step + 1),
+                    probe_contenders=probes * (step + 1),
                     stolen_from_node=self._thread_nodes[victim],
                     was_steal=True,
                 )

@@ -22,7 +22,7 @@ pruning skew, which is the entire point of Figure 5.
 from __future__ import annotations
 
 from repro.errors import SchedulerError
-from repro.sched.base import BaseScheduler
+from repro.sched.base import BaseScheduler, describes_own_takes
 from repro.simhw.engine import ScheduleDecision, TaskWork
 from repro.simhw.thread import SimThread
 
@@ -58,19 +58,18 @@ class NumaAwareScheduler(BaseScheduler):
             order = self._steal_orders[key] = tuple(local + remote)
         return order
 
+    @describes_own_takes
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own partition, then same-node victims, then remote."""
         if not self._n_remaining:
             return None
         own = self._queues[thread.thread_id]
-        n_threads = self._n_threads
         # Contention on a partition lock: its owner plus any prowling
         # stealers that reached it. Partitioning keeps this near 1.
-        prowlers_share = 1 + (self._n_prowling + n_threads - 1) // n_threads
+        probes = self.own_probes(self._n_prowling)
         if own:
             return ScheduleDecision(
-                task=self._take(own),
-                probe_contenders=(prowlers_share,),
+                task=self._take(own), probe_contenders=probes
             )
         # n_probed counts our own failed probe plus each victim so far;
         # every probe meets the same contention.
@@ -81,7 +80,7 @@ class NumaAwareScheduler(BaseScheduler):
                 # owner keeps working the front, minimizing interference.
                 return ScheduleDecision(
                     task=self._take(queue, back=True),
-                    probe_contenders=(prowlers_share,) * n_probed,
+                    probe_contenders=probes * n_probed,
                     stolen_from_node=self._thread_nodes[victim],
                     was_steal=True,
                 )

@@ -34,6 +34,7 @@ from repro.simhw.engine import (
     IoPlacement,
     IterationEngine,
     IterationTrace,
+    OwnQueueTakes,
     ProvisionRequest,
     ProvisionTimeline,
     ScheduleDecision,
@@ -68,6 +69,7 @@ __all__ = [
     "IoPlacement",
     "IterationEngine",
     "IterationTrace",
+    "OwnQueueTakes",
     "ProvisionRequest",
     "ProvisionTimeline",
     "ScheduleDecision",

@@ -15,14 +15,32 @@ stays a deterministic model.
 
 Event order: the thread with the smallest private clock acts next.
 Ties break on thread id, so traces are fully reproducible.
+
+Most of a super-phase has no steals: each thread drains its own
+partition first (Section 5.2), so until the first thread finds its
+partition empty every event is an own take. :meth:`IterationEngine.run`
+replays that prefix in closed form, one pass over each thread's own
+queue, from the description the scheduler gives
+(:class:`OwnQueueTakes`). Only one event changes an own take's price
+in the prefix: the take that empties the first partition raises the
+lock share, and the takes ordered after it by ``(clock, tid)`` are
+re-priced. The handover point ``P`` is the smallest ``(own-queue
+finish clock, tid)``; the prefix is every take ordered before ``P``,
+and the event loop runs from there, only if tasks remain. Under the
+static scheduler nobody steals, so the prefix is the whole phase. The
+per-task cost lives in one function that both paths call, and
+:meth:`IterationEngine.run_reference` keeps the original loop verbatim
+as the conformance oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Protocol
+from itertools import islice
+from typing import Callable, NoReturn, Protocol, Sequence
 
 from repro.errors import SchedulerError
 from repro.simhw.costmodel import CostModel
@@ -60,7 +78,13 @@ class TaskWork:
 
 
 class TaskScheduler(Protocol):
-    """What the engine needs from a scheduler (see :mod:`repro.sched`)."""
+    """What the engine needs from a scheduler (see :mod:`repro.sched`).
+
+    A scheduler may also offer ``own_queue_takes() -> OwnQueueTakes |
+    None`` and ``commit_own_takes(counts)``; the engine then replays
+    the steal-free prefix in closed form. Without them, every task
+    goes through ``next_task``.
+    """
 
     def assign(
         self, tasks: list[TaskWork], threads: list[SimThread]
@@ -73,6 +97,23 @@ class TaskScheduler(Protocol):
     ) -> "ScheduleDecision | None":  # pragma: no cover - protocol
         """Hand ``thread`` its next task, or None when drained."""
         ...
+
+
+@dataclass(frozen=True)
+class OwnQueueTakes:
+    """How a scheduler serves a thread from its own partition.
+
+    ``queues[t]`` is thread ``t``'s partition in pop order; the engine
+    only reads it. ``probes(n_empty)`` is the probe tuple an own take
+    meets while ``n_empty`` partitions are empty; it may change only
+    when the first partition empties, so it is the same for every
+    ``n_empty`` in ``1..T``. ``steals`` says whether a thread whose
+    partition is empty steals (True) or parks at the barrier (False).
+    """
+
+    queues: Sequence[Sequence[TaskWork]]
+    probes: Callable[[int], tuple[int, ...]]
+    steals: bool
 
 
 @dataclass(frozen=True)
@@ -176,49 +217,29 @@ class IterationEngine:
             streams[bank] = (max(1, local), 0)
         return streams
 
-    # -- main loop ---------------------------------------------------
+    # -- per-task cost ----------------------------------------------
 
-    def run(
-        self,
-        scheduler: TaskScheduler,
-        tasks: list[TaskWork],
-        threads: list[SimThread],
-        *,
-        d: int,
-        k: int,
-        reduction: bool = True,
-    ) -> IterationTrace:
-        """Execute one super-phase and return its trace.
+    def _pricer(
+        self, tasks: list[TaskWork], threads: list[SimThread], d: int
+    ) -> Callable[[TaskWork, int], tuple[float, float, float, bool, int]]:
+        """Build the one per-task cost function of a super-phase.
 
-        ``d``/``k`` size the centroid merge at the end; set
-        ``reduction=False`` for phases that do not merge (e.g. an
-        assignment-only pass).
-
-        This is the optimized event loop: per-task cost-model calls are
-        folded into per-iteration constants and per-node bandwidth
-        tables, distinct lock-probe patterns are priced once, and the
-        event heap is bypassed while only one thread remains runnable.
-        Event order and every simulated charge are bit-identical to
-        :meth:`run_reference` (conformance-tested on recorded traces).
+        ``price(task, node)`` returns ``(compute_ns, mem_ns, task_ns,
+        remote, nbytes)`` for ``task`` run by a thread bound to
+        ``node``. The cost-model calls are folded into per-iteration
+        constants and per-bank bandwidth tables; every value is
+        bit-identical to the per-task CostModel call chain of
+        :meth:`run_reference`.
         """
-        if not threads:
-            raise SchedulerError("engine needs at least one thread")
-        for th in threads:
-            th.clock_ns = 0.0
-            th.counters = ThreadCounters()
-        scheduler.assign(tasks, threads)
-        bank_streams = self._bank_streams(tasks, threads)
+        cost = self.cost
         n_threads = len(threads)
         overlap = self.bind_policy is not BindPolicy.OBLIVIOUS
-        cost = self.cost
         smt_mult = cost.smt_compute_mult(n_threads)
         migration_mult = (
             cost.migration_compute_mult(n_threads)
             if self.bind_policy is BindPolicy.OBLIVIOUS
             else 1.0
         )
-
-        # -- per-iteration cost tables --------------------------------
         # One distance column (dist_comp_ns is linear in n_dist) and
         # one row of bookkeeping; the (a + b) * smt * mig evaluation
         # order below matches the CostModel call chain exactly.
@@ -230,7 +251,9 @@ class IterationEngine:
         line_bytes = cost.cache_line_bytes
         line_lat = cost.remote_line_latency_ns
         mem_table: dict[int, tuple[float, float]] = {}
-        for bank, (streams_t, streams_r) in bank_streams.items():
+        for bank, (streams_t, streams_r) in self._bank_streams(
+            tasks, threads
+        ).items():
             bw_local = min(
                 cost.per_core_bw, cost.bank_bw / max(1, streams_t)
             )
@@ -243,41 +266,14 @@ class IterationEngine:
             default_bw_local,
             min(default_bw_local, cost.interconnect_bw),
         )
-        # Distinct probe patterns are few (schedulers emit a handful of
-        # tuple shapes); price each once.
-        lock_table: dict[tuple[int, ...], float] = {}
 
-        executions: list[TaskExecution] = []
-        record_executions = self.record_executions
-        seen_tasks: set[int] = set()
-        next_task = scheduler.next_task
-
-        def execute(thread: SimThread, decision: ScheduleDecision) -> None:
-            task = decision.task
-            if task.task_id in seen_tasks:
-                raise SchedulerError(
-                    f"task {task.task_id} dispatched twice"
-                )
-            seen_tasks.add(task.task_id)
-
-            probes = decision.probe_contenders
-            lock_ns = lock_table.get(probes)
-            if lock_ns is None:
-                lock_ns = sum(cost.lock_wait_ns(c) for c in probes)
-                lock_table[probes] = lock_ns
-            c = thread.counters
-            c.queue_probes += len(probes)
-            c.lock_wait_ns += lock_ns
-            if decision.was_steal:
-                if decision.stolen_from_node == thread.node:
-                    c.steals_local_node += 1
-                else:
-                    c.steals_remote_node += 1
-
+        def price(
+            task: TaskWork, node: int
+        ) -> tuple[float, float, float, bool, int]:
             compute_ns = (
                 task.n_dist * col_ns + task.n_rows * row_ns
             ) * smt_mult * migration_mult
-            remote = task.home_node != thread.node
+            remote = task.home_node != node
             nbytes = task.data_bytes + task.state_bytes
             if nbytes <= 0:
                 mem_ns = 0.0
@@ -298,11 +294,285 @@ class IterationEngine:
             # stolen-remote tasks (and everything under the oblivious
             # policy) lose the overlap.
             if overlap and not remote:
-                task_ns = (
-                    compute_ns if compute_ns > mem_ns else mem_ns
-                )
+                task_ns = compute_ns if compute_ns > mem_ns else mem_ns
             else:
                 task_ns = compute_ns + mem_ns
+            return compute_ns, mem_ns, task_ns, remote, nbytes
+
+        return price
+
+    # -- main loop ---------------------------------------------------
+
+    def run(
+        self,
+        scheduler: TaskScheduler,
+        tasks: list[TaskWork],
+        threads: list[SimThread],
+        *,
+        d: int,
+        k: int,
+        reduction: bool = True,
+    ) -> IterationTrace:
+        """Execute one super-phase and return its trace.
+
+        ``d``/``k`` size the centroid merge at the end; set
+        ``reduction=False`` for phases that do not merge (e.g. an
+        assignment-only pass).
+
+        When the scheduler describes its own-partition takes
+        (:meth:`repro.sched.BaseScheduler.own_queue_takes`), the
+        steal-free prefix is replayed in closed form first (see
+        :meth:`_replay_own_prefix`) and the event loop starts at the
+        first moment a thread could steal -- and only if tasks remain.
+        Any other scheduler runs the whole phase through the event
+        loop. Either way the event order and every simulated charge
+        are bit-identical to :meth:`run_reference`.
+        """
+        if not threads:
+            raise SchedulerError("engine needs at least one thread")
+        for th in threads:
+            th.clock_ns = 0.0
+            th.counters = ThreadCounters()
+        scheduler.assign(tasks, threads)
+        price = self._pricer(tasks, threads, d)
+        cost = self.cost
+        # Distinct probe patterns are few (schedulers emit a handful of
+        # tuple shapes); price each once.
+        lock_table: dict[tuple[int, ...], float] = {}
+
+        def lock_of(probes: tuple[int, ...]) -> float:
+            lock_ns = lock_table.get(probes)
+            if lock_ns is None:
+                lock_ns = lock_table[probes] = sum(
+                    cost.lock_wait_ns(c) for c in probes
+                )
+            return lock_ns
+
+        executions: list[TaskExecution] = []
+        seen_tasks: set[int] = set()
+        describe = getattr(scheduler, "own_queue_takes", None)
+        own = describe() if describe is not None else None
+        if own is not None:
+            scheduler.commit_own_takes(
+                self._replay_own_prefix(
+                    own, threads, price, lock_of, seen_tasks, executions
+                )
+            )
+        if own is None or len(seen_tasks) < len(tasks):
+            self._event_loop(
+                scheduler, threads, price, lock_of, seen_tasks, executions
+            )
+
+        if len(seen_tasks) != len(tasks):
+            raise SchedulerError(
+                f"scheduler drained with {len(seen_tasks)}/{len(tasks)} "
+                "tasks dispatched"
+            )
+
+        n_threads = len(threads)
+        span = max(th.clock_ns for th in threads)
+        barrier = self.cost.barrier_ns(n_threads)
+        red = (
+            self.cost.reduction_ns(k, d, n_threads) if reduction else 0.0
+        )
+        totals = [th.counters for th in threads]
+        return IterationTrace(
+            thread_clocks_ns=[th.clock_ns for th in threads],
+            span_ns=span,
+            barrier_ns=barrier,
+            reduction_ns=red,
+            total_ns=span + barrier + red,
+            executions=executions,
+            total_rows=sum(c.rows_processed for c in totals),
+            total_dist=sum(c.dist_computations for c in totals),
+            total_bytes_local=sum(c.bytes_local for c in totals),
+            total_bytes_remote=sum(c.bytes_remote for c in totals),
+            total_steals=sum(
+                c.steals_local_node + c.steals_remote_node for c in totals
+            ),
+        )
+
+    def _replay_own_prefix(
+        self,
+        own: OwnQueueTakes,
+        threads: list[SimThread],
+        price: Callable[[TaskWork, int], tuple],
+        lock_of: Callable[[tuple[int, ...]], float],
+        seen_tasks: set[int],
+        executions: list[TaskExecution],
+    ) -> dict[int, int]:
+        """Replay, in closed form, every take ordered before the first
+        possible steal; returns how many tasks each thread took
+        (threads that took none are left out).
+
+        Until some thread finds its own partition empty, every event is
+        an own take, and a thread's takes depend on no other thread
+        except through the lock share. So each thread's clock is one
+        chain over its own queue: ``start + (lock + task_ns)``, times
+        ``slow_factor`` when one is set, exactly as ``execute`` adds.
+        The share changes at one event only: the take that empties the
+        first partition (``probes`` is constant once any partition is
+        empty). That take still meets the opening share; the takes
+        ordered after it by ``(clock, tid)`` are re-priced.
+
+        The handover point ``P`` is the smallest ``(own-queue finish
+        clock, tid)``, where a thread whose partition starts empty
+        finishes at 0.0: there the first thread may steal. The prefix is
+        every take ordered before ``P``; the thread that defines ``P``
+        keeps all of its takes. A scheduler that never steals parks
+        instead, so its prefix is the whole phase.
+        """
+        queues = own.queues
+        busy = [tid for tid, queue in enumerate(queues) if queue]
+        n_empty = len(queues) - len(busy)
+        probes_first = own.probes(n_empty)
+        probes_rest = own.probes(1) if n_empty == 0 else probes_first
+        lock_first = lock_of(probes_first)
+        lock_rest = lock_of(probes_rest)
+
+        # Per busy thread: every own task's price, and the clock chain
+        # at the opening share.
+        costs = []
+        clocks = []
+        for tid in busy:
+            th = threads[tid]
+            row = [price(task, th.node) for task in queues[tid]]
+            costs.append(row)
+            clocks.append(_chain(0.0, lock_first, row, th.slow_factor))
+        # Takes per busy thread that meet the opening share.
+        n_first = [len(row) for row in costs]
+        if probes_rest != probes_first:
+            # No partition starts empty, so every thread is busy; the
+            # earliest last take empties the first partition.
+            e_clock, e_tid = min(
+                (chain[-2], tid) for tid, chain in zip(busy, clocks)
+            )
+            for i, (tid, row, chain) in enumerate(zip(busy, costs, clocks)):
+                if tid == e_tid:
+                    continue
+                after = bisect_right if tid < e_tid else bisect_left
+                j = n_first[i] = after(chain, e_clock, 0, len(row))
+                if j < len(row) and lock_rest != lock_first:
+                    chain[j:] = _chain(
+                        chain[j], lock_rest, row[j:],
+                        threads[tid].slow_factor,
+                    )
+
+        if own.steals:
+            finishes = [(chain[-1], tid) for tid, chain in zip(busy, clocks)]
+            if n_empty:
+                # A partition that starts empty finishes at 0.0.
+                finishes.append(
+                    (0.0, next(t for t, q in enumerate(queues) if not q))
+                )
+            p_clock, p_tid = min(finishes)
+            taken = [
+                len(row) if tid == p_tid
+                else (bisect_right if tid < p_tid else bisect_left)(
+                    chain, p_clock, 0, len(row)
+                )
+                for tid, row, chain in zip(busy, costs, clocks)
+            ]
+        else:
+            taken = [len(row) for row in costs]
+
+        record = self.record_executions
+        records: list[TaskExecution] = []
+        n_taken = 0
+        for tid, row, chain, n, j in zip(
+            busy, costs, clocks, taken, n_first
+        ):
+            if not n:
+                continue
+            n_taken += n
+            th = threads[tid]
+            th.clock_ns = chain[n]
+            j = min(j, n)
+            c = th.counters
+            c.queue_probes += (
+                j * len(probes_first) + (n - j) * len(probes_rest)
+            )
+            # Summed in take order, as execute accumulates it.
+            wait = c.lock_wait_ns
+            for _ in range(j):
+                wait += lock_first
+            for _ in range(n - j):
+                wait += lock_rest
+            c.lock_wait_ns = wait
+            c.tasks_run += n
+            n_rows = n_dist = bytes_local = bytes_remote = 0
+            for i, task in enumerate(islice(queues[tid], n)):
+                seen_tasks.add(task.task_id)
+                n_rows += task.n_rows
+                n_dist += task.n_dist
+                compute_ns, mem_ns, _, remote, nbytes = row[i]
+                if remote:
+                    bytes_remote += nbytes
+                else:
+                    bytes_local += nbytes
+                if record:
+                    records.append(
+                        TaskExecution(
+                            task_id=task.task_id,
+                            thread_id=tid,
+                            start_ns=chain[i],
+                            end_ns=chain[i + 1],
+                            compute_ns=compute_ns,
+                            mem_ns=mem_ns,
+                            lock_ns=lock_first if i < j else lock_rest,
+                            remote=remote,
+                        )
+                    )
+            c.rows_processed += n_rows
+            c.dist_computations += n_dist
+            c.bytes_local += bytes_local
+            c.bytes_remote += bytes_remote
+
+        if len(seen_tasks) != n_taken:
+            _raise_first_duplicate(queues, busy, clocks, taken)
+        if record:
+            # Event order: (start, tid); a stable sort keeps one
+            # thread's equal-clock takes in sequence.
+            records.sort(key=lambda e: (e.start_ns, e.thread_id))
+            executions.extend(records)
+        return {tid: n for tid, n in zip(busy, taken) if n}
+
+    def _event_loop(
+        self,
+        scheduler: TaskScheduler,
+        threads: list[SimThread],
+        price: Callable[[TaskWork, int], tuple],
+        lock_of: Callable[[tuple[int, ...]], float],
+        seen_tasks: set[int],
+        executions: list[TaskExecution],
+    ) -> None:
+        """Dispatch from the threads' current clocks until every thread
+        parks: the smallest ``(clock, tid)`` acts next."""
+        record_executions = self.record_executions
+        next_task = scheduler.next_task
+
+        def execute(thread: SimThread, decision: ScheduleDecision) -> None:
+            task = decision.task
+            if task.task_id in seen_tasks:
+                raise SchedulerError(
+                    f"task {task.task_id} dispatched twice"
+                )
+            seen_tasks.add(task.task_id)
+
+            probes = decision.probe_contenders
+            lock_ns = lock_of(probes)
+            c = thread.counters
+            c.queue_probes += len(probes)
+            c.lock_wait_ns += lock_ns
+            if decision.was_steal:
+                if decision.stolen_from_node == thread.node:
+                    c.steals_local_node += 1
+                else:
+                    c.steals_remote_node += 1
+
+            compute_ns, mem_ns, task_ns, remote, nbytes = price(
+                task, thread.node
+            )
             start = thread.clock_ns
             # Straggler plane: an injected slowdown stretches this
             # thread's execution. Guarded so the fault-free arithmetic
@@ -335,8 +605,7 @@ class IterationEngine:
                     )
                 )
 
-        # -- event loop -----------------------------------------------
-        # Each runnable thread holds exactly one heap entry; drained
+        # Each runnable thread holds exactly one heap entry; parked
         # threads are simply not re-pushed, so no stale entries exist.
         heap: list[tuple[float, int]] = [
             (th.clock_ns, th.thread_id) for th in threads
@@ -344,52 +613,14 @@ class IterationEngine:
         heapq.heapify(heap)
         heappop = heapq.heappop
         heappush = heapq.heappush
-        n_active = n_threads
-        while n_active:
-            if n_active == 1:
-                # One runnable thread: every remaining event is its
-                # next task, so the heap ordering is vacuous -- drain
-                # the scheduler directly without push/pop churn.
-                thread = threads[heap[0][1]]
-                while (decision := next_task(thread)) is not None:
-                    execute(thread, decision)
-                break
+        while heap:
             _, tid = heappop(heap)
             thread = threads[tid]
             decision = next_task(thread)
             if decision is None:
-                n_active -= 1
                 continue
             execute(thread, decision)
             heappush(heap, (thread.clock_ns, tid))
-
-        if len(seen_tasks) != len(tasks):
-            raise SchedulerError(
-                f"scheduler drained with {len(seen_tasks)}/{len(tasks)} "
-                "tasks dispatched"
-            )
-
-        span = max(th.clock_ns for th in threads)
-        barrier = self.cost.barrier_ns(n_threads)
-        red = (
-            self.cost.reduction_ns(k, d, n_threads) if reduction else 0.0
-        )
-        totals = [th.counters for th in threads]
-        return IterationTrace(
-            thread_clocks_ns=[th.clock_ns for th in threads],
-            span_ns=span,
-            barrier_ns=barrier,
-            reduction_ns=red,
-            total_ns=span + barrier + red,
-            executions=executions,
-            total_rows=sum(c.rows_processed for c in totals),
-            total_dist=sum(c.dist_computations for c in totals),
-            total_bytes_local=sum(c.bytes_local for c in totals),
-            total_bytes_remote=sum(c.bytes_remote for c in totals),
-            total_steals=sum(
-                c.steals_local_node + c.steals_remote_node for c in totals
-            ),
-        )
 
     # -- reference loop ----------------------------------------------
 
@@ -541,6 +772,45 @@ class IterationEngine:
                 c.steals_local_node + c.steals_remote_node for c in totals
             ),
         )
+
+
+def _chain(
+    clock: float, lock_ns: float, costs: list[tuple], slow_factor: float
+) -> list[float]:
+    """A thread's clock at the start of each take, then at the end:
+    the same sequential additions ``execute`` makes."""
+    clocks = [clock]
+    append = clocks.append
+    if slow_factor != 1.0:
+        for cost in costs:
+            clock = clock + (lock_ns + cost[2]) * slow_factor
+            append(clock)
+    else:
+        for cost in costs:
+            clock = clock + (lock_ns + cost[2])
+            append(clock)
+    return clocks
+
+
+def _raise_first_duplicate(
+    queues: Sequence[Sequence[TaskWork]],
+    busy: list[int],
+    clocks: list[list[float]],
+    taken: list[int],
+) -> NoReturn:
+    """Raise for the first task id the prefix dispatched twice, in
+    event order, as the event loop would have."""
+    events = sorted(
+        (chain[i], tid, i, task.task_id)
+        for tid, chain, n in zip(busy, clocks, taken)
+        for i, task in enumerate(islice(queues[tid], n))
+    )
+    seen: set[int] = set()
+    for *_, task_id in events:
+        if task_id in seen:
+            raise SchedulerError(f"task {task_id} dispatched twice")
+        seen.add(task_id)
+    raise SchedulerError("prefix dispatch count out of sync")
 
 
 @dataclass(frozen=True)

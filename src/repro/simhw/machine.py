@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.simhw.costmodel import CostModel, FOUR_SOCKET_XEON
 from repro.simhw.engine import IterationEngine
@@ -83,17 +85,25 @@ class SimMachine:
             ssd=ssd,
         )
 
-    def node_of_row_block(self, block_frac: float) -> int:
-        """NUMA node holding a row block at relative dataset position.
+    def block_home_nodes(
+        self, starts: np.ndarray, n_rows: int
+    ) -> list[int]:
+        """NUMA node holding each row block that begins at ``starts``.
 
         Figure 1's layout: thread ``t`` owns rows ``[t*alpha,
         (t+1)*alpha)`` and its partition is allocated on *its* node --
-        so a block's home bank is its owning thread's node (at T=1,
-        everything is local to the one thread). Under an oblivious
-        layout everything sits on node 0. Drivers use this to stamp
-        ``TaskWork.home_node``.
+        so a block's home bank is its owning thread's node,
+        ``min(int(start / n_rows * T), T - 1)`` (at T=1, everything is
+        local to the one thread). Under an oblivious layout everything
+        sits on node 0. One numpy pass over all blocks, with the same
+        float arithmetic as the scalar formula; drivers use this to
+        stamp ``TaskWork.home_node``.
         """
         if self.bind_policy is BindPolicy.OBLIVIOUS:
-            return 0
-        owner = min(int(block_frac * self.n_threads), self.n_threads - 1)
-        return self.threads[owner].node
+            return [0] * len(starts)
+        n_threads = self.n_threads
+        owners = np.minimum(
+            (starts / n_rows * n_threads).astype(np.int64), n_threads - 1
+        )
+        threads = self.threads
+        return [threads[owner].node for owner in owners.tolist()]

@@ -1,6 +1,10 @@
 """Event-driven iteration engine: dispatch, accounting, and invariants."""
 
+from dataclasses import asdict, replace
+
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
 from repro.sched import (
@@ -179,10 +183,10 @@ def test_remote_task_loses_prefetch_overlap():
 # -- optimized loop vs reference loop conformance -------------------
 
 
-def _trace_key(trace):
-    """Everything observable about a trace, for exact comparison."""
-    from dataclasses import asdict
-
+def _trace_key(trace, threads, sched):
+    """Everything observable about a replay, for exact comparison: the
+    trace, every thread's clock and counters (straggler detection reads
+    the probe, lock and steal tallies), and the scheduler's end state."""
     return (
         trace.thread_clocks_ns,
         trace.span_ns,
@@ -195,7 +199,28 @@ def _trace_key(trace):
         trace.total_bytes_remote,
         trace.total_steals,
         [asdict(e) for e in trace.executions],
+        [(th.clock_ns, asdict(th.counters)) for th in threads],
+        sched.queue_lengths(),
     )
+
+
+def _replay_keys(sched_cls, tasks, n_threads, policy, *, record,
+                 d=8, k=10, slow=None, cm=FOUR_SOCKET_XEON):
+    """Replay one task stream through ``run`` and ``run_reference`` on
+    fresh threads and schedulers; ``slow`` is an optional straggler
+    ``(thread index, slow_factor)``."""
+    engine = IterationEngine(
+        cm, bind_policy=policy, record_executions=record
+    )
+    keys = []
+    for replay in (engine.run, engine.run_reference):
+        threads = spawn_threads(cm.topology, n_threads, policy)
+        if slow is not None:
+            threads[slow[0] % n_threads].slow_factor = slow[1]
+        sched = sched_cls()
+        trace = replay(sched, tasks, threads, d=d, k=k)
+        keys.append(_trace_key(trace, threads, sched))
+    return keys
 
 
 def _mixed_tasks(n_tasks, n_nodes):
@@ -213,58 +238,185 @@ def _mixed_tasks(n_tasks, n_nodes):
     ]
 
 
+# Each conformance test replays with and without recorded executions;
+# the record flag is looped inside so the parametrized ids stay stable.
+RECORD_MODES = (True, False)
+
+
 @pytest.mark.parametrize("policy", [BindPolicy.NUMA_BIND,
                                     BindPolicy.OBLIVIOUS])
 @pytest.mark.parametrize("sched_cls", [StaticScheduler, FifoScheduler,
                                        NumaAwareScheduler])
 @pytest.mark.parametrize("n_threads", [1, 3, 8])
 def test_run_matches_reference(policy, sched_cls, n_threads):
-    """The optimized event loop is bit-identical to the kept-verbatim
+    """The optimized replay is bit-identical to the kept-verbatim
     reference loop: same event order, same simulated charges, same
     counters -- across bind policies, schedulers and thread counts."""
-    cm = FOUR_SOCKET_XEON
-    tasks = _mixed_tasks(23, cm.topology.n_nodes)
-    engine = IterationEngine(
-        cm, bind_policy=policy, record_executions=True
-    )
-    threads = spawn_threads(cm.topology, n_threads, policy)
-    t_new = engine.run(sched_cls(), tasks, threads, d=8, k=10)
-    threads = spawn_threads(cm.topology, n_threads, policy)
-    t_ref = engine.run_reference(sched_cls(), tasks, threads, d=8, k=10)
-    assert _trace_key(t_new) == _trace_key(t_ref)
+    tasks = _mixed_tasks(23, FOUR_SOCKET_XEON.topology.n_nodes)
+    for record in RECORD_MODES:
+        new, ref = _replay_keys(
+            sched_cls, tasks, n_threads, policy, record=record
+        )
+        assert new == ref
 
 
 def test_run_matches_reference_fifo_shared_queue():
     """FIFO's per-thread partitions with id-order stealing exercise the
-    contended-lock pricing and the end-of-phase single-runnable-thread
-    drain."""
-    cm = FOUR_SOCKET_XEON
-    tasks = _mixed_tasks(40, cm.topology.n_nodes)
-    engine = IterationEngine(cm, record_executions=True)
-    threads = spawn_threads(cm.topology, 6, BindPolicy.NUMA_BIND)
-    t_new = engine.run(FifoScheduler(), tasks, threads, d=12, k=7)
-    threads = spawn_threads(cm.topology, 6, BindPolicy.NUMA_BIND)
-    t_ref = engine.run_reference(
-        FifoScheduler(), tasks, threads, d=12, k=7
-    )
-    assert _trace_key(t_new) == _trace_key(t_ref)
+    contended-lock pricing and the end-of-phase drain."""
+    tasks = _mixed_tasks(40, FOUR_SOCKET_XEON.topology.n_nodes)
+    for record in RECORD_MODES:
+        new, ref = _replay_keys(
+            FifoScheduler, tasks, 6, BindPolicy.NUMA_BIND,
+            record=record, d=12, k=7,
+        )
+        assert new == ref
 
 
 def test_run_matches_reference_single_bank():
     """All data on one bank (the Figure 4 oblivious regime): every
     thread streams remotely except the bank's own node."""
-    cm = FOUR_SOCKET_XEON
     tasks = _mixed_tasks(16, 1)  # everything homed on node 0
-    engine = IterationEngine(
-        cm, bind_policy=BindPolicy.OBLIVIOUS, record_executions=True
+    for record in RECORD_MODES:
+        new, ref = _replay_keys(
+            StaticScheduler, tasks, 8, BindPolicy.OBLIVIOUS,
+            record=record,
+        )
+        assert new == ref
+
+
+class _Lopsided:
+    """Queues every odd partition's tasks on the partition before it, so
+    partitions that start empty sit beside ones with many tasks (the
+    block layout alone never does that)."""
+
+    def assign(self, tasks, threads):
+        super().assign(tasks, threads)
+        queues = self._queues
+        for tid in range(1, len(queues), 2):
+            queues[tid - 1].extend(queues[tid])
+            queues[tid].clear()
+        self._n_prowling = sum(1 for q in queues if not q)
+
+
+class LopsidedStatic(_Lopsided, StaticScheduler):
+    pass
+
+
+class LopsidedFifo(_Lopsided, FifoScheduler):
+    pass
+
+
+class LopsidedNumaAware(_Lopsided, NumaAwareScheduler):
+    pass
+
+
+# Lock costs that are not exact in binary, so summing the per-take
+# waits in any order but take order changes the bits.
+INEXACT_LOCKS = replace(FOUR_SOCKET_XEON, lock_ns=0.1, lock_contention_ns=0.7)
+
+# A small palette of task shapes, so exact clock ties (identical tasks
+# on identical threads), zero-cost tasks and remote homes all recur.
+_TASK_SHAPE = st.tuples(
+    st.sampled_from([0, 1, 10, 64]),        # n_rows
+    st.sampled_from([0, 5, 100, 1000]),     # n_dist
+    st.sampled_from([0, 640, 1 << 16]),     # data_bytes
+    st.sampled_from([0, 120]),              # state_bytes
+    st.integers(0, 3),                      # home_node
+)
+
+
+@seed(14)
+@settings(max_examples=250, deadline=None)
+@given(
+    sched_cls=st.sampled_from([StaticScheduler, FifoScheduler,
+                               NumaAwareScheduler, LopsidedStatic,
+                               LopsidedFifo, LopsidedNumaAware]),
+    cm=st.sampled_from([FOUR_SOCKET_XEON, INEXACT_LOCKS]),
+    policy=st.sampled_from([BindPolicy.NUMA_BIND, BindPolicy.OBLIVIOUS]),
+    n_threads=st.sampled_from([1, 2, 3, 8, 48]),
+    shapes=st.lists(_TASK_SHAPE, max_size=200),
+    uniform=st.booleans(),
+    slow=st.none() | st.tuples(st.integers(0, 47),
+                               st.sampled_from([1.5, 4.0])),
+    record=st.booleans(),
+)
+@example(sched_cls=NumaAwareScheduler, cm=INEXACT_LOCKS,
+         policy=BindPolicy.NUMA_BIND, n_threads=48,
+         shapes=[(64, 1000, 640, 120, 0)] * 200, uniform=True, slow=None,
+         record=True)
+@example(sched_cls=FifoScheduler, cm=FOUR_SOCKET_XEON,
+         policy=BindPolicy.NUMA_BIND, n_threads=8,
+         shapes=[(0, 0, 0, 0, 0)] * 30, uniform=True, slow=(3, 4.0),
+         record=True)
+@example(sched_cls=NumaAwareScheduler, cm=INEXACT_LOCKS,
+         policy=BindPolicy.NUMA_BIND, n_threads=1,
+         shapes=[(10, 100, 640, 120, 0)] * 40, uniform=True, slow=None,
+         record=False)
+@example(sched_cls=LopsidedNumaAware, cm=INEXACT_LOCKS,
+         policy=BindPolicy.NUMA_BIND, n_threads=3,
+         shapes=[(10, 100, 640, 120, 0)] * 9, uniform=True, slow=None,
+         record=False)
+def test_run_matches_reference_fuzz(
+    sched_cls, cm, policy, n_threads, shapes, uniform, slow, record
+):
+    """Random task streams: 0-200 tasks (fewer tasks than threads, or
+    lopsided queues, leave partitions empty from the start), zero-cost
+    tasks, exact clock ties, inexact lock costs and one straggler
+    thread."""
+    if uniform and shapes:
+        shapes = [shapes[0]] * len(shapes)
+    tasks = [TaskWork(i, *shape) for i, shape in enumerate(shapes)]
+    new, ref = _replay_keys(
+        sched_cls, tasks, n_threads, policy, record=record, slow=slow,
+        cm=cm,
     )
-    threads = spawn_threads(cm.topology, 8, BindPolicy.OBLIVIOUS)
-    t_new = engine.run(StaticScheduler(), tasks, threads, d=8, k=10)
-    threads = spawn_threads(cm.topology, 8, BindPolicy.OBLIVIOUS)
-    t_ref = engine.run_reference(
-        StaticScheduler(), tasks, threads, d=8, k=10
-    )
-    assert _trace_key(t_new) == _trace_key(t_ref)
+    assert new == ref
+
+
+@pytest.mark.parametrize("sched_cls", [StaticScheduler,
+                                       NumaAwareScheduler])
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_duplicate_task_ids_dispatched_twice(sched_cls, n_threads):
+    """Two tasks with one id fail like the reference loop does, even
+    when both fall in the steal-free prefix."""
+    tasks = make_tasks(3)
+    tasks[1] = TaskWork(0, *list(vars(tasks[1]).values())[1:])
+    for replay in ("run", "run_reference"):
+        engine = IterationEngine(FOUR_SOCKET_XEON)
+        threads = spawn_threads(FOUR_SOCKET_XEON.topology, n_threads,
+                                BindPolicy.NUMA_BIND)
+        with pytest.raises(SchedulerError, match="task 0 dispatched twice"):
+            getattr(engine, replay)(
+                sched_cls(), tasks, threads, d=8, k=10
+            )
+
+
+def test_own_queue_takes_only_for_described_next_task():
+    """The closed form is offered for the three policies (also behind
+    a ``__wrapped__`` timing wrapper) and never for an override."""
+    import functools
+
+    class Override(NumaAwareScheduler):
+        def next_task(self, thread):
+            return super().next_task(thread)
+
+    class Timed(NumaAwareScheduler):
+        @functools.wraps(NumaAwareScheduler.next_task)
+        def next_task(self, thread):
+            return NumaAwareScheduler.next_task(self, thread)
+
+    threads = spawn_threads(FOUR_SOCKET_XEON.topology, 4,
+                            BindPolicy.NUMA_BIND)
+    for cls, offered in [(StaticScheduler, True), (FifoScheduler, True),
+                         (NumaAwareScheduler, True), (Timed, True),
+                         (Override, False)]:
+        sched = cls()
+        sched.assign(make_tasks(8), threads)
+        own = sched.own_queue_takes()
+        assert (own is not None) == offered
+        if own is not None:
+            assert own.steals == (cls is not StaticScheduler)
+            assert [len(q) for q in own.queues] == [2, 2, 2, 2]
 
 
 def test_run_reference_rejects_double_dispatch():
@@ -280,9 +432,9 @@ def test_run_reference_rejects_double_dispatch():
     cm = FOUR_SOCKET_XEON
     engine = IterationEngine(cm)
     threads = spawn_threads(cm.topology, 1, BindPolicy.NUMA_BIND)
-    with pytest.raises(SchedulerError):
+    with pytest.raises(SchedulerError, match="dispatched twice"):
         engine.run(DoubleScheduler(), make_tasks(3), threads, d=8, k=10)
-    with pytest.raises(SchedulerError):
+    with pytest.raises(SchedulerError, match="dispatched twice"):
         engine.run_reference(
             DoubleScheduler(), make_tasks(3), threads, d=8, k=10
         )

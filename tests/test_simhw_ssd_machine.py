@@ -1,5 +1,6 @@
 """SSD array model and SimMachine construction."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,15 +85,40 @@ class TestSimMachine:
         )
         assert [t.node for t in m.threads] == [0, 1, 2, 3, 0, 1, 2, 3]
 
-    def test_node_of_row_block(self):
+    def test_block_home_nodes(self):
         m = SimMachine.build(FOUR_SOCKET_XEON, n_threads=8)
-        assert m.node_of_row_block(0.0) == 0
-        assert m.node_of_row_block(0.99) == 3
+        starts = np.array([0, 99])
+        assert m.block_home_nodes(starts, 100) == [0, 3]
         mo = SimMachine.build(
             FOUR_SOCKET_XEON, n_threads=8,
             bind_policy=BindPolicy.OBLIVIOUS,
         )
-        assert mo.node_of_row_block(0.99) == 0
+        assert mo.block_home_nodes(starts, 100) == [0, 0]
+
+    @pytest.mark.parametrize("policy", list(BindPolicy))
+    @pytest.mark.parametrize("n_threads", [1, 3, 48])
+    @pytest.mark.parametrize("n_rows,task_rows", [
+        (1, 1), (7, 3), (100, 7), (1000, 64), (4099, 130), (12345, 8192),
+    ])
+    def test_block_home_nodes_match_scalar_formula(
+        self, policy, n_threads, n_rows, task_rows
+    ):
+        """Every block, ragged last ones included: the array method
+        gives the Figure-1 owner's node as the same Python ints."""
+        m = SimMachine.build(
+            FOUR_SOCKET_XEON, n_threads=n_threads, bind_policy=policy
+        )
+        starts = np.arange(0, n_rows, task_rows)
+        want = []
+        for start in starts.tolist():
+            if policy is BindPolicy.OBLIVIOUS:
+                want.append(0)
+                continue
+            owner = min(int(start / n_rows * n_threads), n_threads - 1)
+            want.append(m.threads[owner].node)
+        got = m.block_home_nodes(starts, n_rows)
+        assert got == want
+        assert all(type(node) is int for node in got)
 
     def test_invalid_thread_counts(self):
         with pytest.raises(ConfigError):
