@@ -58,7 +58,7 @@ from repro.runtime import (
     resolve_row_data,
 )
 from repro.sched.blocks import auto_task_rows
-from repro.sem import RowCache, RowEngine, Safs
+from repro.sem import build_sem_stack
 from repro.sem.checkpoint import has_checkpoint, load_checkpoint
 from repro.simhw import (
     BindPolicy,
@@ -67,8 +67,6 @@ from repro.simhw import (
     SimMachine,
 )
 from repro.simhw.ssd import AsyncIoQueue, OCZ_INTREPID_ARRAY, SsdArray
-
-_F64 = 8
 
 
 def knors(
@@ -180,12 +178,6 @@ def knors(
         )
     pruning = check_pruning(pruning)
     crit = default_criteria(criteria)
-    row_bytes = d * _F64
-    data_bytes = n * row_bytes
-    if row_cache_bytes is None:
-        row_cache_bytes = data_bytes // 32
-    if page_cache_bytes is None:
-        page_cache_bytes = max(64 * ssd.page_bytes, data_bytes // 16)
 
     machine = SimMachine.build(
         cost_model, n_threads=n_threads, bind_policy=bind_policy, ssd=ssd
@@ -202,25 +194,17 @@ def knors(
             if io_mode == "async"
             else None
         )
-        safs = Safs(
-            ssd,
-            page_cache_bytes=page_cache_bytes,
-            faults=faults,
-            retry_policy=retry_policy,
-            io_queue=io_queue,
-        )
-        row_cache = (
-            RowCache(
-                row_cache_bytes,
-                row_bytes,
-                n,
-                n_partitions=t,
-                update_interval=cache_update_interval,
+        io_engine, row_cache, row_cache_bytes, page_cache_bytes = (
+            build_sem_stack(
+                ssd, n, d, t,
+                row_cache_bytes=row_cache_bytes,
+                page_cache_bytes=page_cache_bytes,
+                cache_update_interval=cache_update_interval,
+                io_queue=io_queue,
+                faults=faults,
+                retry_policy=retry_policy,
             )
-            if row_cache_bytes > 0
-            else None
         )
-        io_engine = RowEngine(safs, row_bytes, n, row_cache=row_cache)
         register_sem_memory(
             machine, n, d, k, pruning,
             row_cache_bytes=(

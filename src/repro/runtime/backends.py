@@ -5,10 +5,10 @@ returns the finished :class:`~repro.metrics.IterationRecord` plus what
 the convergence check needs. Three substrates implement the protocol:
 
 * :class:`InMemoryBackend` -- one simulated NUMA machine (knori,
-  ``run_numa``): task blocks through a scheduler, engine replay,
+  ``run_mm_inmemory``): task blocks through a scheduler, engine replay,
   barrier + funnel reduction.
 * :class:`SemBackend` -- the same machine plus the SAFS + row-cache
-  I/O stack (knors, ``run_sem``): sync mode charges
+  I/O stack (knors, ``run_mm_sem``): sync mode charges
   ``sim = max(span, io) + sync``; async mode routes reads through the
   SSD request queue and hides service time behind the previous
   iteration's compute (prefetch credit); optional checkpoint hook.

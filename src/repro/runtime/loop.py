@@ -5,7 +5,7 @@ step the numerics, replay them on the substrate, record the iteration,
 fire the post-record hook (checkpointing), check convergence. The
 backend supplies the substrate; the stopping rule is either a
 :class:`~repro.core.ConvergenceCriteria` (the k-means drivers) or an
-arbitrary ``should_stop`` callable (the generalized framework, which
+arbitrary ``should_stop`` callable (the MM algorithm plane, which
 delegates to the algorithm's own ``converged()``).
 """
 
@@ -70,7 +70,7 @@ class IterationLoop:
         ``should_stop``. Supplies ``max_iters`` when given.
     should_stop:
         Custom predicate over each :class:`IterationOutcome`
-        (the framework passes ``lambda out: algorithm.converged()``).
+        (the MM drivers pass ``lambda out: algorithm.converged()``).
         Requires an explicit ``max_iters``.
     max_iters:
         Iteration cap; required with ``should_stop``, optional

@@ -21,6 +21,8 @@ This module is that frame:
 * :class:`MMShardedProgram` -- adapts it to the
   :class:`~repro.runtime.backends.ShardedProgram` contract for the
   distributed backend.
+  Both adapters validate every step's per-row arrays through
+  :func:`check_step` right after ``majorize()``.
 * :class:`MMCheckpointHook` -- the SEM checkpoint hook over the
   generic v4 on-disk format (:mod:`repro.sem.checkpoint`).
 * ``run_mm_inmemory`` / ``run_mm_sem`` / ``run_mm_distributed`` --
@@ -82,6 +84,19 @@ class MMStep:
     clause1_rows: int = 0
     clause2_pruned: int = 0
     clause3_pruned: int = 0
+
+
+def check_step(step: MMStep, n_rows: int) -> MMStep:
+    """Reject a majorize step whose per-row arrays do not cover
+    exactly the algorithm's ``n_rows`` rows, before any backend prices
+    (or, distributed, slices) it."""
+    for name in ("dist_per_row", "needs_data"):
+        shape = np.shape(getattr(step, name))
+        if shape != (n_rows,):
+            raise ConfigError(
+                f"MMStep.{name} shape {shape} != ({n_rows},)"
+            )
+    return step
 
 
 @runtime_checkable
@@ -152,7 +167,7 @@ class MMSource:
         self.loop = algorithm
 
     def step(self, iteration: int) -> StepStats:
-        step = self.algorithm.majorize()
+        step = check_step(self.algorithm.majorize(), self.algorithm.n_rows)
         self.algorithm.minimize(step.payload)
         return StepStats(
             dist_per_row=step.dist_per_row,
@@ -206,7 +221,7 @@ class MMShardedProgram(ShardedProgram):
 
     def step(self, si: int) -> StepStats:
         if si == 0:
-            self._step = self.algorithm.majorize()
+            self._step = check_step(self.algorithm.majorize(), self.n_rows)
         assert self._step is not None
         s = self._step
         lo, hi = int(self.bounds[si]), int(self.bounds[si + 1])
@@ -618,20 +633,15 @@ def run_mm_sem(
     """
     from repro.drivers.common import make_scheduler, resolve_memory_manager
     from repro.mem import use_manager
+    from repro.runtime.memory import register_mm_memory
     from repro.sched.blocks import auto_task_rows
-    from repro.sem import RowCache, RowEngine, Safs
+    from repro.sem import build_sem_stack
     from repro.sem.checkpoint import has_checkpoint, load_mm_checkpoint
     from repro.simhw import BindPolicy, FOUR_SOCKET_XEON, SimMachine
     from repro.simhw.ssd import AsyncIoQueue, OCZ_INTREPID_ARRAY
 
     ssd = ssd or OCZ_INTREPID_ARRAY
     n, d = algorithm.n_rows, algorithm.d
-    row_bytes = d * 8
-    data_bytes = n * row_bytes
-    if row_cache_bytes is None:
-        row_cache_bytes = data_bytes // 32
-    if page_cache_bytes is None:
-        page_cache_bytes = max(64 * ssd.page_bytes, data_bytes // 16)
 
     machine = SimMachine.build(
         cost_model or FOUR_SOCKET_XEON,
@@ -651,27 +661,17 @@ def run_mm_sem(
             if io_mode == "async"
             else None
         )
-        safs = Safs(
-            ssd,
-            page_cache_bytes=page_cache_bytes,
-            faults=faults,
-            retry_policy=retry_policy,
-            io_queue=io_queue,
-        )
-        row_cache = (
-            RowCache(
-                row_cache_bytes,
-                row_bytes,
-                n,
-                n_partitions=t,
-                update_interval=cache_update_interval,
+        io_engine, row_cache, row_cache_bytes, page_cache_bytes = (
+            build_sem_stack(
+                ssd, n, d, t,
+                row_cache_bytes=row_cache_bytes,
+                page_cache_bytes=page_cache_bytes,
+                cache_update_interval=cache_update_interval,
+                io_queue=io_queue,
+                faults=faults,
+                retry_policy=retry_policy,
             )
-            if row_cache_bytes > 0
-            else None
         )
-        io_engine = RowEngine(safs, row_bytes, n, row_cache=row_cache)
-        from repro.runtime.memory import register_mm_memory
-
         register_mm_memory(
             machine, n, d,
             state_bytes_per_row=algorithm.state_bytes_per_row,

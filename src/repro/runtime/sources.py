@@ -5,12 +5,12 @@ A source produces, per iteration, the exact per-row work statistics
 
 * :class:`KmeansSource` wraps the library's own
   :class:`~repro.drivers.common.NumericsLoop` (Lloyd's / MTI / Elkan);
-* :class:`RowAlgorithmSource` wraps any object implementing the
-  generalized-framework ``RowAlgorithm`` contract.
+* :class:`~repro.runtime.mm.MMSource` wraps any
+  :class:`~repro.runtime.mm.MMAlgorithm` (the MM algorithm plane).
 
 Both are consumed identically by the backends, which is what lets
-knori/knors and the generic ``run_numa``/``run_sem`` share one loop
-body.
+knori/knors and the generic ``run_mm_inmemory``/``run_mm_sem`` share
+one loop body.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 from repro.data.matrixfile import MatrixFile
-from repro.errors import ConfigError, DatasetError
+from repro.errors import DatasetError
 from repro.runtime.memory import state_bytes_per_row
 
 
@@ -82,42 +82,13 @@ class KmeansSource:
         )
 
 
-class RowAlgorithmSource:
-    """Adapts a framework ``RowAlgorithm`` to the source contract."""
-
-    def __init__(self, algorithm: Any, x: np.ndarray) -> None:
-        self.algorithm = algorithm
-        self.x = x
-        self.n = x.shape[0]
-
-    def step(self, iteration: int) -> StepStats:
-        work = self.algorithm.iteration(self.x)
-        if work.compute_units.shape != (self.n,):
-            raise ConfigError(
-                f"compute_units shape {work.compute_units.shape} != "
-                f"({self.n},)"
-            )
-        if work.needs_data.shape != (self.n,):
-            raise ConfigError(
-                f"needs_data shape {work.needs_data.shape} != ({self.n},)"
-            )
-        return StepStats(
-            dist_per_row=work.compute_units,
-            needs_data=work.needs_data,
-            n_changed=work.n_changed,
-            motion=None,
-            state_bytes=work.state_bytes_per_row,
-        )
-
-
 def resolve_row_data(
     data: np.ndarray | str | Path | MatrixFile,
 ) -> tuple[np.ndarray, int, int]:
     """Resolve a data source to an indexable array plus ``(n, d)``.
 
     Paths resolve to a memmap-backed view, so row accesses during a
-    SEM run read from the real file at page granularity. Shared by
-    knors and the generic ``run_sem``.
+    SEM run read from the real file at page granularity.
     """
     if isinstance(data, MatrixFile):
         return data.row_view(), data.n, data.d

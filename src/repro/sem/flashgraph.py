@@ -22,12 +22,14 @@ compute term wins -- Section 8.8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.errors import CorruptionError
 from repro.sem.rowcache import RowCache
 from repro.sem.safs import Safs
+from repro.simhw.ssd import AsyncIoQueue, SsdArray
 
 
 @dataclass
@@ -188,3 +190,64 @@ class RowEngine:
             iteration, "corruption", "reread", {"row": victim}
         )
         return misses, rc_hits - 1
+
+
+class SemStack(NamedTuple):
+    """A wired SAFS -> row cache -> row engine stack and its sizing."""
+
+    engine: RowEngine
+    row_cache: RowCache | None
+    row_cache_bytes: int
+    page_cache_bytes: int
+
+
+def build_sem_stack(
+    ssd: SsdArray,
+    n_rows: int,
+    d: int,
+    n_partitions: int,
+    *,
+    row_cache_bytes: int | None = None,
+    page_cache_bytes: int | None = None,
+    cache_update_interval: int = 5,
+    io_queue: AsyncIoQueue | None = None,
+    faults: Any = None,
+    retry_policy: Any = None,
+) -> SemStack:
+    """Size and wire the semi-external I/O stack for ``n_rows``
+    float64 rows of ``d`` columns.
+
+    ``None`` budgets take the paper's ratios: the row cache gets 1/32
+    of the data (512 MB on the 16 GB Friendster-32), the SAFS page
+    cache 1/16 but never under 64 pages; a row cache budget of 0
+    disables it. The row cache has one partition per thread
+    (``n_partitions``). Call inside the run's ``use_manager`` block:
+    the page cache and cache index allocate through the active memory
+    manager, in this order.
+    """
+    row_bytes = d * 8
+    data_bytes = n_rows * row_bytes
+    if row_cache_bytes is None:
+        row_cache_bytes = data_bytes // 32
+    if page_cache_bytes is None:
+        page_cache_bytes = max(64 * ssd.page_bytes, data_bytes // 16)
+    safs = Safs(
+        ssd,
+        page_cache_bytes=page_cache_bytes,
+        faults=faults,
+        retry_policy=retry_policy,
+        io_queue=io_queue,
+    )
+    row_cache = (
+        RowCache(
+            row_cache_bytes,
+            row_bytes,
+            n_rows,
+            n_partitions=n_partitions,
+            update_interval=cache_update_interval,
+        )
+        if row_cache_bytes > 0
+        else None
+    )
+    engine = RowEngine(safs, row_bytes, n_rows, row_cache=row_cache)
+    return SemStack(engine, row_cache, row_cache_bytes, page_cache_bytes)

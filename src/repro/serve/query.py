@@ -138,7 +138,7 @@ class ServePlane:
             resolve_memory_manager,
         )
         from repro.runtime.memory import register_mm_memory
-        from repro.sem import RowCache, RowEngine, Safs
+        from repro.sem import build_sem_stack
         from repro.simhw import BindPolicy, FOUR_SOCKET_XEON, SimMachine
         from repro.simhw.ssd import AsyncIoQueue, OCZ_INTREPID_ARRAY
 
@@ -179,14 +179,6 @@ class ServePlane:
         self.tenant = tenant
 
         ssd = ssd or OCZ_INTREPID_ARRAY
-        row_bytes = d * 8
-        data_bytes = n * row_bytes
-        if row_cache_bytes is None:
-            row_cache_bytes = data_bytes // 32
-        if page_cache_bytes is None:
-            page_cache_bytes = max(
-                64 * ssd.page_bytes, data_bytes // 16
-            )
         self.machine = SimMachine.build(
             cost_model or FOUR_SOCKET_XEON,
             n_threads=n_threads,
@@ -200,26 +192,16 @@ class ServePlane:
             mem, mem_budget_bytes, observers
         )
         with use_manager(self.mem_manager):
-            safs = Safs(
-                ssd,
-                page_cache_bytes=page_cache_bytes,
-                faults=faults,
-                retry_policy=retry_policy,
-                io_queue=AsyncIoQueue(queue_depth=io_queue_depth),
-            )
-            self.row_cache = (
-                RowCache(
-                    row_cache_bytes,
-                    row_bytes,
-                    n,
-                    n_partitions=self.machine.n_threads,
-                    update_interval=cache_update_interval,
+            self.io, self.row_cache, row_cache_bytes, page_cache_bytes = (
+                build_sem_stack(
+                    ssd, n, d, self.machine.n_threads,
+                    row_cache_bytes=row_cache_bytes,
+                    page_cache_bytes=page_cache_bytes,
+                    cache_update_interval=cache_update_interval,
+                    io_queue=AsyncIoQueue(queue_depth=io_queue_depth),
+                    faults=faults,
+                    retry_policy=retry_policy,
                 )
-                if row_cache_bytes > 0
-                else None
-            )
-            self.io = RowEngine(
-                safs, row_bytes, n, row_cache=self.row_cache
             )
             register_mm_memory(
                 self.machine, n, d,

@@ -11,19 +11,20 @@ from repro import knord, knori, knors
 from repro.baselines import mpi_lloyd
 from repro.core import ConvergenceCriteria
 from repro.errors import ConfigError
-from repro.framework import GmmAlgorithm, run_sem
+from repro.extensions.gmm import GmmMM
 from repro.runtime import (
     DistributedBackend,
     ExecutionBackend,
     InMemoryBackend,
     IterationLoop,
     KmeansSource,
+    MMSource,
     NumericsSource,
     PureMpiBackend,
     RecordingObserver,
-    RowAlgorithmSource,
     SemBackend,
     chain_observers,
+    run_mm_sem,
     state_bytes_per_row,
 )
 
@@ -60,12 +61,11 @@ def test_backend_instances_satisfy_protocol(small, monkeypatch):
         assert isinstance(backend, ExecutionBackend)
 
 
-def test_sources_satisfy_protocol(small):
+def test_sources_satisfy_protocol():
     loop_stub = type("L", (), {"pruning": None})()
     assert isinstance(KmeansSource(loop_stub, 4), NumericsSource)
     algo_stub = type("A", (), {})()
-    assert isinstance(RowAlgorithmSource(algo_stub, small),
-                      NumericsSource)
+    assert isinstance(MMSource(algo_stub), NumericsSource)
 
 
 # -- per-row state accounting (the Elkan fix) ----------------------------
@@ -199,14 +199,9 @@ def test_distributed_event_order(small):
     assert [e.payload["machine_index"] for e in traces] == [0, 1, 2]
 
 
-def test_framework_sem_emits_io_events(small, tmp_path):
-    from repro.data import write_matrix
-
-    path = tmp_path / "blobs.knor"
-    write_matrix(path, small)
+def test_framework_sem_emits_io_events(small):
     rec = RecordingObserver()
-    run_sem(GmmAlgorithm(3, seed=0), path, max_iters=3,
-            observers=[rec])
+    run_mm_sem(GmmMM(small, 3, seed=0, max_iters=3), observers=[rec])
     assert "io" in rec.names()
     assert rec.names()[0] == "run_start"
     assert rec.names()[-1] == "run_end"
