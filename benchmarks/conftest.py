@@ -2,9 +2,10 @@
 
 Every bench regenerates one of the paper's tables or figures at
 reproduction scale, prints it (visible with ``pytest -s`` and in the
-captured output), and appends it to ``results/benchmark_report.txt`` so
-a full ``pytest benchmarks/ --benchmark-only`` run leaves a complete
-report on disk. EXPERIMENTS.md records paper-vs-measured per figure.
+captured output), and writes it into ``results/benchmark_report.txt``
+(replacing an earlier section of the same title) so a full
+``pytest benchmarks/ --benchmark-only`` run leaves a complete report on
+disk. EXPERIMENTS.md records paper-vs-measured per figure.
 
 Scale note: datasets run at ~1/1000 of the paper's n (Table 2 registry
 defaults). Simulated times are labelled sim; Table 3 rows are real
@@ -22,13 +23,32 @@ from repro.data import friendster_like, load_dataset
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
+_RULE = "#" * 70
+
+
 def report(title: str, body: str) -> None:
-    """Print a figure/table and append it to the on-disk report."""
-    text = f"\n{'#' * 70}\n# {title}\n{'#' * 70}\n{body}\n"
+    """Print a figure/table and write it into the on-disk report.
+
+    A section with the same title is replaced in place, so rerunning a
+    bench leaves the report byte-identical instead of appending a
+    duplicate table.
+    """
+    text = f"\n{_RULE}\n# {title}\n{_RULE}\n{body}\n"
     print(text)
     RESULTS.mkdir(exist_ok=True)
-    with open(RESULTS / "benchmark_report.txt", "a") as fh:
-        fh.write(text)
+    path = RESULTS / "benchmark_report.txt"
+    old = path.read_text() if path.exists() else ""
+    sep = f"\n{_RULE}\n# "
+    head, *rest = old.split(sep)
+    sections = [sep + part for part in rest]
+    same = f"{sep}{title}\n{_RULE}\n"
+    for i, section in enumerate(sections):
+        if section.startswith(same):
+            sections[i] = text
+            break
+    else:
+        sections.append(text)
+    path.write_text(head + "".join(sections))
 
 
 @pytest.fixture(scope="session")

@@ -40,8 +40,15 @@ The two strategies are *ULP-equivalent*, not bit-identical: ``gemm``
 adds ``|x|^2`` after ``|c|^2`` where ``blocked`` adds it before, and
 one float reassociation perturbs the squared distance by a few ulps
 of the ``|x|^2 + |c|^2`` magnitude (``GEMM_ULP_BOUND``). Assignments
-agree everywhere except exact floating-point ties, which the
-equivalence suite pins. Exact ties (duplicate centroids) produce
+therefore agree only on rows whose best-vs-second-best margin exceeds
+``GEMM_ULP_BOUND * ulp(|x|^2 + |c|^2)``; inside that margin the two
+strategies may pick different winners, and one flipped row can change
+every later iteration. Benign data keeps every margin far outside the
+bound, which is what the equivalence suite pins. Adversarial data
+does not: ``np.random.default_rng(0).integers(0, 4, (3000, 3))`` with
+every 7th row scaled by 1e8 (knori, k=8, 4 threads, seeds 0-11 x
+{mti, unpruned, elkan}) gives different assignments or iteration
+counts in 14 of 36 runs. Exact ties (duplicate centroids) produce
 bitwise-equal candidates under both strategies, so argmin's
 lowest-index rule picks the same centroid.
 """

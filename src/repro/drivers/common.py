@@ -96,6 +96,18 @@ class NumericsLoop:
     drivers contain only hardware-related logic.
     """
 
+    #: Checkpoint identity, shared with the MM plane's ``KmeansMM``.
+    name = "kmeans"
+    #: Arrays :meth:`restore_state` needs, per pruning mode.
+    _RESTORE_ARRAYS = {
+        None: ("centroids", "prev_centroids", "assignment"),
+        "mti": (
+            "centroids", "prev_centroids", "assignment",
+            "ub", "sums", "counts",
+        ),
+        "elkan": ("centroids", "prev_centroids"),
+    }
+
     def __init__(
         self,
         x: np.ndarray,
@@ -127,7 +139,8 @@ class NumericsLoop:
         # Per-iteration kernel cache (centroid norms, pairwise matrix,
         # block buffers); with kernel="blocked" a pure optimization
         # (bit-identical results), with kernel="gemm" ULP-equivalent
-        # distances and identical assignments (see repro.core.distance).
+        # distances and assignments identical only outside the
+        # near-tie margin (see repro.core.distance).
         self._workspace = DistanceWorkspace(
             self._centroids0.shape[0], self._centroids0.shape[1],
             kernel=kernel,
@@ -277,17 +290,26 @@ class NumericsLoop:
         return snap
 
     def restore_state(self, snap: dict) -> None:
-        """Resume from an :meth:`export_state` snapshot."""
+        """Resume from an :meth:`export_state` snapshot.
+
+        Raises :class:`~repro.errors.ConfigError` naming any array the
+        pruning mode needs that the snapshot lacks.
+        """
         from repro.core.mti import MtiState
 
+        missing = [
+            name for name in self._RESTORE_ARRAYS[self.pruning]
+            if snap.get(name) is None
+        ]
+        if missing:
+            raise ConfigError(
+                f"checkpoint for pruning={self.pruning!r} lacks "
+                f"array(s) {', '.join(missing)}"
+            )
         self.iteration = int(snap["iteration"])
         self.centroids = np.array(snap["centroids"], copy=True)
         self.prev_centroids = np.array(snap["prev_centroids"], copy=True)
         if self.pruning == "mti":
-            if "ub" not in snap or snap["ub"] is None:
-                raise ConfigError(
-                    "snapshot has no pruning state but pruning='mti'"
-                )
             self._state = MtiState(
                 assignment=np.array(
                     snap["assignment"], dtype=np.int32, copy=True

@@ -124,7 +124,9 @@ def knori(
     kernel:
         Distance kernel strategy: ``"blocked"`` (default, the bit-exact
         reference) or ``"gemm"`` (norm-caching GEMM expansion;
-        identical assignments, ULP-equivalent distances -- see
+        ULP-equivalent distances, identical assignments only where
+        each row's best-vs-second-best margin exceeds
+        ``GEMM_ULP_BOUND * ulp(|x|^2 + |c|^2)`` -- see
         :mod:`repro.core.distance`).
     mem, mem_budget_bytes:
         Memory manager for the run's workspace and scratch buffers:

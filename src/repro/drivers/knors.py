@@ -59,7 +59,6 @@ from repro.runtime import (
 )
 from repro.sched.blocks import auto_task_rows
 from repro.sem import build_sem_stack
-from repro.sem.checkpoint import has_checkpoint, load_checkpoint
 from repro.simhw import (
     BindPolicy,
     CostModel,
@@ -161,8 +160,10 @@ def knors(
         farthest point; unpruned algorithm only), or ``"error"``.
     kernel:
         Distance kernel strategy (``"blocked"`` | ``"gemm"``, see
-        :func:`repro.drivers.knori`). Clause-1 I/O elision is
-        unaffected: both strategies produce identical assignments.
+        :func:`repro.drivers.knori`). Assignments, and with them
+        clause-1 I/O elision, agree only where each row's
+        best-vs-second-best margin exceeds
+        ``GEMM_ULP_BOUND * ulp(|x|^2 + |c|^2)``.
     mem, mem_budget_bytes:
         Memory manager for the workspace, cache index and checkpoint
         staging buffers (``"numpy"`` | ``"arena"`` | ``"budget"`` | a
@@ -219,38 +220,21 @@ def knors(
             empty_cluster=empty_cluster, kernel=kernel,
         )
 
-        start_it = 0
-        if resume and checkpoint_dir is not None and has_checkpoint(
-            checkpoint_dir
-        ):
-            ckpt = load_checkpoint(checkpoint_dir)
-            loop.restore_state(
-                {
-                    "iteration": ckpt.iteration,
-                    "centroids": ckpt.centroids,
-                    "prev_centroids": ckpt.prev_centroids,
-                    "assignment": ckpt.assignment,
-                    "ub": ckpt.ub,
-                    "sums": ckpt.sums,
-                    "counts": ckpt.counts,
-                }
-            )
-            start_it = ckpt.iteration
-            if row_cache is not None:
-                # The cache restarts cold; re-engage at the next
-                # scheduled refresh after the resume point.
-                row_cache.fast_forward(start_it - 1)
-
         checkpoint = (
             CheckpointHook(
                 directory=checkpoint_dir,
                 interval=checkpoint_interval,
-                loop=loop,
+                algorithm=loop,
                 params={"n": n, "d": d, "k": k, "pruning": pruning},
                 faults=faults,
             )
             if checkpoint_dir is not None
             else None
+        )
+        start_it = (
+            checkpoint.resume(row_cache)
+            if resume and checkpoint is not None
+            else 0
         )
         backend = SemBackend(
             machine,

@@ -13,9 +13,10 @@ Three storage tiers get checksummed:
   and compares. CRC32 detects every single-byte flip, so detection
   recall is 100% by construction *and* exercised with real CRC
   arithmetic on every verify.
-* **Checkpoint arrays** (:mod:`repro.sem.checkpoint` format v3): real
-  CRC32 over the actual array bytes and the on-disk arrays file,
-  verified on load.
+* **Checkpoint arrays** (:mod:`repro.sem.checkpoint`, written as
+  format v4; legacy v3 files carry the same checksums): real CRC32
+  over the actual array bytes and the on-disk arrays file, verified
+  on load.
 * **Allreduce payloads** (:func:`repro.faults.faulty_collective_ns`):
   real CRC32 over the reduced centroid bytes.
 

@@ -23,7 +23,7 @@ On top of the skeleton sits the **MM algorithm plane**
 (:mod:`repro.runtime.mm`): any algorithm expressible as a per-row
 *majorize* phase plus a global additive *minimize* reduction
 (:class:`MMAlgorithm`, knor Section 9's generalized framework)
-inherits all three backends, fault recovery, v4 checkpoints and the
+inherits all three backends, fault recovery, checkpoints and the
 observer bus via ``run_mm_inmemory`` / ``run_mm_sem`` /
 ``run_mm_distributed``. k-means itself is the first
 implementation (:class:`KmeansMM`); the extension zoo supplies the
@@ -45,7 +45,6 @@ from repro.runtime.loop import IterationLoop, LoopResult
 from repro.runtime.mm import (
     KmeansMM,
     MMAlgorithm,
-    MMCheckpointHook,
     MMShardedProgram,
     MMSource,
     MMStep,
@@ -87,7 +86,6 @@ __all__ = [
     "KmeansSource",
     "LoopResult",
     "MMAlgorithm",
-    "MMCheckpointHook",
     "MMShardedProgram",
     "MMSource",
     "MMStep",

@@ -42,7 +42,12 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import NodeFailureError, WorkerCrashError
+from repro.errors import (
+    CorruptionError,
+    IoSubsystemError,
+    NodeFailureError,
+    WorkerCrashError,
+)
 from repro.metrics import IterationRecord
 from repro.runtime.observer import RunObserver
 from repro.runtime.sources import NumericsSource, StepStats
@@ -265,19 +270,23 @@ class InMemoryBackend:
 
 @dataclass
 class CheckpointHook:
-    """knors' FlashGraph-style fault tolerance as a backend hook.
+    """FlashGraph-style fault tolerance for SEM runs as a backend hook.
 
-    Persists the numerics loop's O(n) resumable state every
-    ``interval`` iterations (single-atomic-commit protocol; see
-    :mod:`repro.sem.checkpoint`). With a fault plan attached, a save
-    may be killed mid-protocol (``checkpoint`` site), which surfaces
-    as a :class:`~repro.errors.WorkerCrashError` the iteration loop
-    answers through ``backend.recover()``.
+    Persists ``algorithm.export_state()`` every ``interval`` iterations
+    (single-atomic-commit protocol; see :mod:`repro.sem.checkpoint`):
+    ndarrays go into the CRC32-checked arrays file, everything else
+    into the manifest's scalars. ``algorithm`` is anything with a
+    ``name`` and ``export_state()``/``restore_state()`` -- knors' own
+    :class:`~repro.drivers.common.NumericsLoop` or any MM algorithm.
+    With a fault plan attached, a save may be killed mid-protocol
+    (``checkpoint`` site), which surfaces as a
+    :class:`~repro.errors.WorkerCrashError` the iteration loop answers
+    through ``backend.recover()``.
     """
 
     directory: str | Path
     interval: int
-    loop: Any  # NumericsLoop (must offer export_state())
+    algorithm: Any
     params: dict
     faults: Any = None  # FaultPlan, for mid-save crash points
 
@@ -312,22 +321,21 @@ class CheckpointHook:
             observer.on_fault(
                 iteration, "checkpoint", crash_point, {}
             )
-        snap = self.loop.export_state()
-        save_checkpoint(
-            self.directory,
-            CheckpointState(
-                iteration=snap["iteration"],
-                centroids=snap["centroids"],
-                prev_centroids=snap["prev_centroids"],
-                assignment=snap["assignment"],
-                ub=snap.get("ub"),
-                sums=snap.get("sums"),
-                counts=snap.get("counts"),
-                n_changed=n_changed,
-                params=self.params,
-            ),
-            crash_point=crash_point,
+        snap = dict(self.algorithm.export_state())
+        state = CheckpointState(
+            iteration=int(snap.pop("iteration")),
+            algorithm=self.algorithm.name,
+            arrays={},
+            scalars={},
+            n_changed=n_changed,
+            params=self.params,
         )
+        for name, value in snap.items():
+            if isinstance(value, np.ndarray):
+                state.arrays[name] = value
+            else:
+                state.scalars[name] = value
+        save_checkpoint(self.directory, state, crash_point=crash_point)
         if self.faults is not None and self.faults.checkpoint_corruption(
             iteration
         ):
@@ -340,28 +348,54 @@ class CheckpointHook:
             )
         observer.on_checkpoint(iteration, self.directory)
 
-    def try_restore(
-        self, iteration: int, observer: RunObserver
-    ) -> int | None:
-        """Restore the newest checkpoint into the loop, if loadable.
+    def restore(self) -> int | None:
+        """Restore the newest checkpoint into the algorithm.
 
-        Returns the iteration to resume at, or ``None`` when no usable
-        checkpoint exists. A checkpoint whose CRC32s do not match its
-        arrays is quarantined (never restored) and recovery falls back
-        to the caller's from-scratch path -- slower, still
-        bit-identical.
+        Returns the iteration to resume at, or ``None`` when the
+        directory holds no checkpoint. Raises
+        :class:`~repro.errors.CorruptionError` on a checksum mismatch
+        and :class:`~repro.errors.IoSubsystemError` when the checkpoint
+        belongs to a different algorithm.
         """
-        from repro.errors import CorruptionError
-        from repro.sem.checkpoint import (
-            discard_checkpoint,
-            has_checkpoint,
-            load_checkpoint,
-        )
+        from repro.sem.checkpoint import has_checkpoint, load_checkpoint
 
         if not has_checkpoint(self.directory):
             return None
+        ckpt = load_checkpoint(self.directory)
+        if ckpt.algorithm != self.algorithm.name:
+            raise IoSubsystemError(
+                f"checkpoint in {self.directory} belongs to algorithm "
+                f"{ckpt.algorithm!r}, not {self.algorithm.name!r}"
+            )
+        self.algorithm.restore_state(
+            {"iteration": ckpt.iteration, **ckpt.arrays, **ckpt.scalars}
+        )
+        return ckpt.iteration
+
+    def resume(self, row_cache: Any) -> int:
+        """A driver's ``resume=True``: restore, then re-engage the
+        (cold) row cache at its next scheduled refresh after the
+        resume point. Returns the start iteration, 0 without a
+        checkpoint."""
+        start = self.restore()
+        if start is None:
+            return 0
+        if row_cache is not None:
+            row_cache.fast_forward(start - 1)
+        return start
+
+    def try_restore(
+        self, iteration: int, observer: RunObserver
+    ) -> int | None:
+        """Crash recovery's :meth:`restore`: a checkpoint whose CRC32s
+        do not match its arrays is quarantined (never restored) and
+        ``None`` sends the caller down its from-scratch path -- slower,
+        still bit-identical.
+        """
+        from repro.sem.checkpoint import discard_checkpoint
+
         try:
-            ckpt = load_checkpoint(self.directory)
+            return self.restore()
         except CorruptionError as exc:
             observer.on_corruption(
                 iteration, "checkpoint", {"error": str(exc)}
@@ -372,18 +406,6 @@ class CheckpointHook:
                 {"files_removed": discarded},
             )
             return None
-        self.loop.restore_state(
-            {
-                "iteration": ckpt.iteration,
-                "centroids": ckpt.centroids,
-                "prev_centroids": ckpt.prev_centroids,
-                "assignment": ckpt.assignment,
-                "ub": ckpt.ub,
-                "sums": ckpt.sums,
-                "counts": ckpt.counts,
-            }
-        )
-        return ckpt.iteration
 
 
 class SemBackend(InMemoryBackend):
@@ -519,9 +541,9 @@ class SemBackend(InMemoryBackend):
         timing, so the replayed numerics stay bit-identical.
 
         The restore itself is delegated to the checkpoint hook's
-        ``try_restore`` (the hook knows its own on-disk format:
-        kmeans v3 state or the generic MM v4 arrays), which keeps this
-        backend algorithm-agnostic.
+        ``try_restore``, which hands the one on-disk format back to
+        the algorithm's ``restore_state``, so this backend stays
+        algorithm-agnostic.
         """
         resume_at = None
         if self.checkpoint is not None:

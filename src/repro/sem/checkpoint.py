@@ -2,41 +2,42 @@
 
 FlashGraph "is also tolerant to in-memory failures, allowing recovery
 in SEM routines through lightweight checkpointing" (Section 2). The
-state a SEM k-means run needs to resume is exactly its O(n) in-memory
-footprint: assignments, MTI upper bounds, the persistent per-cluster
-sums/counts, current/previous centroids and the iteration counter. Row
-data never needs checkpointing -- it is already durable on SSD.
+state a SEM run needs to resume is exactly its O(n) in-memory
+footprint -- for k-means the assignments, MTI upper bounds, the
+persistent per-cluster sums/counts, current/previous centroids and the
+iteration counter; for any MM algorithm whatever its
+``export_state()`` returns. Row data never needs checkpointing -- it
+is already durable on SSD.
 
-Durability protocol (format version 3): each save writes its arrays to
-a fresh sequence-numbered ``checkpoint-<seq>.npz`` (never overwriting
-the arrays a live manifest references), then commits by atomically
+One format, written as version 4: a :class:`CheckpointState` names
+its owning algorithm and carries a dict of named arrays plus
+JSON-representable scalars (GMM saves means/variances/weights,
+Yinyang its group bounds, k-means the fields above).
+
+Durability protocol: each save writes its arrays to a fresh
+sequence-numbered ``checkpoint-<seq>.npz`` (never overwriting the
+arrays a live manifest references), then commits by atomically
 renaming the manifest over ``checkpoint.json``. The manifest rename is
 the *only* commit point, so a crash at any instant -- mid-array-write,
 between tmp-write and rename, or before garbage collection -- leaves
 the previous checkpoint fully loadable (the crash-matrix tests inject
-crashes at each point via :mod:`repro.faults`). Version 1 checkpoints
-(single ``checkpoint.npz``, renamed arrays-then-manifest) remain
-loadable; version 1's window where an old manifest could pair with
-newly renamed arrays is what the redesign closes.
+crashes at each point via :mod:`repro.faults`).
 
-Format version 3 adds integrity checksums: the manifest records a
-CRC32 of the whole arrays file plus one CRC32 per stored array.
-:func:`load_checkpoint` verifies the file checksum before parsing and
-every array checksum after, raising
-:class:`~repro.errors.CorruptionError` on any mismatch -- a flipped
-bit on the simulated SSD is always *detected*, never silently resumed
-from. Versions 1 and 2 (no checksums) still load.
+Integrity: the manifest records a CRC32 of the whole arrays file plus
+one CRC32 per stored array. :func:`load_checkpoint` verifies the file
+checksum before parsing and every array checksum after, raising
+:class:`~repro.errors.CorruptionError` on any mismatch or on a listed
+array the file lacks -- a flipped bit on the simulated SSD is always
+*detected*, never silently resumed from.
 
-Format version 4 generalizes the *contents* without touching the
-protocol: instead of the fixed kmeans field set, a v4 checkpoint
-stores an arbitrary dict of named arrays plus scalar state and the
-owning algorithm's name (the MM plane: GMM saves means/variances/
-weights/ll_history, Yinyang saves its group bounds, ...). The
-durability protocol -- sequence-numbered arrays file, CRC32s, atomic
-manifest rename as the sole commit point, GC -- is byte-for-byte the
-v3 one, so every crash-point guarantee carries over. The two loaders
-reject each other's manifests with a clear error rather than
-misparsing them.
+Versions 1-3, the older k-means-only layouts, are read-only:
+:func:`load_checkpoint` lifts them into the same record with
+``algorithm="kmeans"`` and whatever arrays the file holds, still
+verifying version 3's checksums (versions 1 and 2 carry none). Whether
+the arrays suffice is decided on restore
+(:meth:`~repro.drivers.common.NumericsLoop.restore_state` names a
+missing one). The next save writes version 4 and removes version 1's
+single ``checkpoint.npz``.
 
 The paper disables checkpointing during performance evaluation
 (Section 8.5), and so do the benches; the integration and fault tests
@@ -57,8 +58,9 @@ from repro.resilience.integrity import array_crc32, crc32_bytes
 
 _MANIFEST = "checkpoint.json"
 _V1_ARRAYS = "checkpoint.npz"
-_FORMAT_VERSION = 3
-_MM_FORMAT_VERSION = 4
+_FORMAT_VERSION = 4
+#: Read-only k-means layouts; version 3 added the CRC32s.
+_LEGACY_VERSIONS = (1, 2, 3)
 
 
 def _stage_arrays(
@@ -89,15 +91,19 @@ def _release_arrays(
 
 @dataclass
 class CheckpointState:
-    """Everything needed to resume a knors run."""
+    """A SEM run's resumable state (format v4).
+
+    ``arrays`` holds the O(n)/O(k) ndarray state under
+    algorithm-chosen names; ``scalars`` holds JSON-representable
+    scalar state (floats/ints/lists). ``iteration`` is the index to
+    resume at; ``algorithm`` names the owner, so a resume under a
+    different algorithm fails typed instead of misreading the arrays.
+    """
 
     iteration: int
-    centroids: np.ndarray
-    prev_centroids: np.ndarray
-    assignment: np.ndarray
-    ub: np.ndarray | None  # None when pruning is off
-    sums: np.ndarray | None
-    counts: np.ndarray | None
+    algorithm: str
+    arrays: dict[str, np.ndarray]
+    scalars: dict
     n_changed: int
     params: dict
 
@@ -118,7 +124,7 @@ def _arrays_path(directory: Path, manifest: dict) -> Path | None:
     version = manifest.get("format_version")
     if version == 1:
         return directory / _V1_ARRAYS
-    if version in (2, _FORMAT_VERSION, _MM_FORMAT_VERSION):
+    if version in (2, 3, _FORMAT_VERSION):
         name = manifest.get("arrays")
         if not name or "/" in str(name):
             return None
@@ -140,30 +146,21 @@ def save_checkpoint(
     stage, and ``committed-no-gc`` leaves the *new* one loadable with
     one stale arrays file the next save collects.
     """
-    if (state.sums is None) != (state.counts is None):
-        raise IoSubsystemError(
-            "checkpoint sums and counts must be saved together "
-            f"(sums is {'None' if state.sums is None else 'set'}, "
-            f"counts is {'None' if state.counts is None else 'set'})"
-        )
+    if not state.arrays:
+        raise IoSubsystemError("a checkpoint must carry at least one array")
+    for name in state.arrays:
+        if "/" in name:
+            raise IoSubsystemError(
+                f"checkpoint array name {name!r} must not contain '/'"
+            )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     previous = _read_manifest(directory)
     seq = (previous.get("seq", 0) if previous else 0) + 1
     arrays_name = f"checkpoint-{seq:08d}.npz"
 
-    arrays = {
-        "centroids": state.centroids,
-        "prev_centroids": state.prev_centroids,
-        "assignment": state.assignment,
-    }
-    if state.ub is not None:
-        arrays["ub"] = state.ub
-    if state.sums is not None:
-        arrays["sums"] = state.sums
-        arrays["counts"] = state.counts
     mem = current_manager()
-    staged = _stage_arrays(arrays, mem)
+    staged = _stage_arrays(state.arrays, mem)
     try:
         with open(directory / arrays_name, "wb") as fh:
             np.savez(fh, **staged)
@@ -187,10 +184,10 @@ def save_checkpoint(
                 "arrays": arrays_name,
                 "file_crc32": file_crc,
                 "array_crc32": array_crcs,
+                "algorithm": state.algorithm,
                 "iteration": state.iteration,
                 "n_changed": state.n_changed,
-                "has_ub": state.ub is not None,
-                "has_sums": state.sums is not None,
+                "scalars": state.scalars,
                 "params": state.params,
             }
         )
@@ -212,14 +209,16 @@ def save_checkpoint(
     for path in directory.glob("checkpoint-*.npz"):
         if path.name != arrays_name:
             path.unlink(missing_ok=True)
-    old_v1 = directory / _V1_ARRAYS
-    if old_v1.exists():
-        old_v1.unlink()
+    (directory / _V1_ARRAYS).unlink(missing_ok=True)
     return directory
 
 
 def load_checkpoint(directory: str | Path) -> CheckpointState:
-    """Load the checkpoint in ``directory``; raises if absent/corrupt."""
+    """Load the checkpoint in ``directory``; raises if absent/corrupt.
+
+    Reads version 4 and lifts versions 1-3 into the same record (see
+    the module docstring).
+    """
     directory = Path(directory)
     manifest = _read_manifest(directory)
     if manifest is None:
@@ -229,14 +228,7 @@ def load_checkpoint(directory: str | Path) -> CheckpointState:
             )
         raise IoSubsystemError(f"no checkpoint in {directory}")
     version = manifest.get("format_version")
-    if version == _MM_FORMAT_VERSION:
-        raise IoSubsystemError(
-            f"checkpoint in {directory} is a generic MM (v4) "
-            f"checkpoint for algorithm "
-            f"{manifest.get('algorithm')!r}; load it with "
-            f"load_mm_checkpoint"
-        )
-    if version not in (1, 2, _FORMAT_VERSION):
+    if version != _FORMAT_VERSION and version not in _LEGACY_VERSIONS:
         raise IoSubsystemError(
             f"unsupported checkpoint version {version}"
         )
@@ -246,7 +238,8 @@ def load_checkpoint(directory: str | Path) -> CheckpointState:
             f"checkpoint manifest in {directory} references missing "
             f"arrays"
         )
-    if version == _FORMAT_VERSION:
+    checksummed = version >= 3
+    if checksummed:
         file_crc = crc32_bytes(arrays_path.read_bytes())
         want = int(manifest["file_crc32"])
         if file_crc != want:
@@ -254,35 +247,30 @@ def load_checkpoint(directory: str | Path) -> CheckpointState:
                 f"checkpoint arrays file {arrays_path.name} failed CRC32 "
                 f"(stored {want:#010x}, computed {file_crc:#010x})"
             )
-    if version == 1:
-        has_ub = has_sums = bool(manifest["has_pruning_state"])
-    else:
-        has_ub = bool(manifest["has_ub"])
-        has_sums = bool(manifest["has_sums"])
     with np.load(arrays_path) as data:
-        state = CheckpointState(
-            iteration=int(manifest["iteration"]),
-            centroids=data["centroids"].copy(),
-            prev_centroids=data["prev_centroids"].copy(),
-            assignment=data["assignment"].copy(),
-            ub=data["ub"].copy() if has_ub else None,
-            sums=data["sums"].copy() if has_sums else None,
-            counts=data["counts"].copy() if has_sums else None,
-            n_changed=int(manifest["n_changed"]),
-            params=manifest["params"],
-        )
-    if version == _FORMAT_VERSION:
+        arrays = {name: data[name].copy() for name in data.files}
+    if checksummed:
         for name, want_crc in manifest["array_crc32"].items():
-            arr = getattr(state, name, None)
-            if arr is None:
-                continue
-            got = array_crc32(arr)
+            if name not in arrays:
+                raise CorruptionError(
+                    f"checkpoint array {name!r} listed in the manifest "
+                    f"is missing from {arrays_path.name}"
+                )
+            got = array_crc32(arrays[name])
             if got != int(want_crc):
                 raise CorruptionError(
                     f"checkpoint array {name!r} failed CRC32 "
                     f"(stored {int(want_crc):#010x}, computed {got:#010x})"
                 )
-    return state
+    legacy = version in _LEGACY_VERSIONS
+    return CheckpointState(
+        iteration=int(manifest["iteration"]),
+        algorithm="kmeans" if legacy else str(manifest["algorithm"]),
+        arrays=arrays,
+        scalars={} if legacy else dict(manifest["scalars"]),
+        n_changed=int(manifest["n_changed"]),
+        params=manifest.get("params", {}),
+    )
 
 
 def has_checkpoint(directory: str | Path) -> bool:
@@ -319,167 +307,6 @@ def corrupt_checkpoint(directory: str | Path) -> int:
         fh.seek(offset)
         fh.write(bytes([byte[0] ^ 0xFF]))
     return offset
-
-
-@dataclass
-class MMCheckpointState:
-    """A format-v4 checkpoint: any MM algorithm's resumable state.
-
-    ``arrays`` holds the O(n)/O(k) ndarray state under
-    algorithm-chosen names; ``scalars`` holds JSON-representable
-    scalar state (floats/ints/lists). ``iteration`` is the index to
-    resume at.
-    """
-
-    iteration: int
-    algorithm: str
-    arrays: dict[str, np.ndarray]
-    scalars: dict
-    n_changed: int
-    params: dict
-
-
-def save_mm_checkpoint(
-    directory: str | Path,
-    state: MMCheckpointState,
-    *,
-    crash_point: str | None = None,
-) -> Path:
-    """Atomically persist a generic MM checkpoint (format v4).
-
-    Identical durability protocol to :func:`save_checkpoint`
-    (sequence-numbered arrays file, whole-file + per-array CRC32s,
-    atomic manifest rename as the sole commit point, then GC), so the
-    same injected ``crash_point`` stages hold the same guarantees.
-    """
-    if not state.arrays:
-        raise IoSubsystemError(
-            "an MM checkpoint must carry at least one array"
-        )
-    for name in state.arrays:
-        if "/" in name:
-            raise IoSubsystemError(
-                f"MM checkpoint array name {name!r} must not contain '/'"
-            )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    previous = _read_manifest(directory)
-    seq = (previous.get("seq", 0) if previous else 0) + 1
-    arrays_name = f"checkpoint-{seq:08d}.npz"
-
-    mem = current_manager()
-    staged = _stage_arrays(state.arrays, mem)
-    try:
-        with open(directory / arrays_name, "wb") as fh:
-            np.savez(fh, **staged)
-        file_crc = crc32_bytes((directory / arrays_name).read_bytes())
-        array_crcs = {
-            name: array_crc32(arr) for name, arr in staged.items()
-        }
-    finally:
-        _release_arrays(staged, mem)
-    if crash_point == "arrays-written":
-        raise WorkerCrashError(
-            "injected crash: arrays written, manifest not committed"
-        )
-
-    tmp_manifest = directory / (_MANIFEST + ".tmp")
-    tmp_manifest.write_text(
-        json.dumps(
-            {
-                "format_version": _MM_FORMAT_VERSION,
-                "seq": seq,
-                "arrays": arrays_name,
-                "file_crc32": file_crc,
-                "array_crc32": array_crcs,
-                "algorithm": state.algorithm,
-                "iteration": state.iteration,
-                "n_changed": state.n_changed,
-                "scalars": state.scalars,
-                "params": state.params,
-            }
-        )
-    )
-    if crash_point == "manifest-tmp-written":
-        raise WorkerCrashError(
-            "injected crash: between manifest tmp-write and rename"
-        )
-
-    # The single atomic commit point.
-    tmp_manifest.replace(directory / _MANIFEST)
-    if crash_point == "committed-no-gc":
-        raise WorkerCrashError(
-            "injected crash: committed, stale arrays not collected"
-        )
-
-    for path in directory.glob("checkpoint-*.npz"):
-        if path.name != arrays_name:
-            path.unlink(missing_ok=True)
-    return directory
-
-
-def load_mm_checkpoint(directory: str | Path) -> MMCheckpointState:
-    """Load a format-v4 MM checkpoint; raises if absent/corrupt.
-
-    Rejects kmeans-format (v1-v3) checkpoints with a clear error
-    instead of misreading them, mirroring :func:`load_checkpoint`'s
-    rejection of v4.
-    """
-    directory = Path(directory)
-    manifest = _read_manifest(directory)
-    if manifest is None:
-        if (directory / _MANIFEST).exists():
-            raise IoSubsystemError(
-                f"corrupt checkpoint manifest in {directory}"
-            )
-        raise IoSubsystemError(f"no checkpoint in {directory}")
-    version = manifest.get("format_version")
-    if version in (1, 2, _FORMAT_VERSION):
-        raise IoSubsystemError(
-            f"checkpoint in {directory} is a kmeans (v{version}) "
-            f"checkpoint; load it with load_checkpoint"
-        )
-    if version != _MM_FORMAT_VERSION:
-        raise IoSubsystemError(
-            f"unsupported checkpoint version {version}"
-        )
-    arrays_path = _arrays_path(directory, manifest)
-    if arrays_path is None or not arrays_path.exists():
-        raise IoSubsystemError(
-            f"checkpoint manifest in {directory} references missing "
-            f"arrays"
-        )
-    file_crc = crc32_bytes(arrays_path.read_bytes())
-    want = int(manifest["file_crc32"])
-    if file_crc != want:
-        raise CorruptionError(
-            f"checkpoint arrays file {arrays_path.name} failed CRC32 "
-            f"(stored {want:#010x}, computed {file_crc:#010x})"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    with np.load(arrays_path) as data:
-        for name in data.files:
-            arrays[name] = data[name].copy()
-    for name, want_crc in manifest["array_crc32"].items():
-        if name not in arrays:
-            raise CorruptionError(
-                f"checkpoint array {name!r} listed in the manifest "
-                f"is missing from {arrays_path.name}"
-            )
-        got = array_crc32(arrays[name])
-        if got != int(want_crc):
-            raise CorruptionError(
-                f"checkpoint array {name!r} failed CRC32 "
-                f"(stored {int(want_crc):#010x}, computed {got:#010x})"
-            )
-    return MMCheckpointState(
-        iteration=int(manifest["iteration"]),
-        algorithm=str(manifest.get("algorithm", "")),
-        arrays=arrays,
-        scalars=dict(manifest.get("scalars", {})),
-        n_changed=int(manifest["n_changed"]),
-        params=manifest.get("params", {}),
-    )
 
 
 def discard_checkpoint(directory: str | Path) -> int:

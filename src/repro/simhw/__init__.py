@@ -26,7 +26,7 @@ from repro.simhw.costmodel import (
 from repro.simhw.memory import (
     AllocPolicy,
     Allocation,
-    MemoryManager,
+    SimMemory,
 )
 from repro.simhw.thread import SimThread
 from repro.simhw.engine import (
@@ -62,7 +62,7 @@ __all__ = [
     "run_cost_usd",
     "AllocPolicy",
     "Allocation",
-    "MemoryManager",
+    "SimMemory",
     "SimThread",
     "SimMachine",
     "AsyncIoTimeline",

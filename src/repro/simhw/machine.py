@@ -1,7 +1,7 @@
 """One simulated shared-memory machine.
 
 Bundles the static pieces (topology, cost model, optional SSD array)
-with the per-run pieces (memory manager, worker threads, execution
+with the per-run pieces (simulated memory, worker threads, execution
 engine) behind a single object the drivers instantiate.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.simhw.costmodel import CostModel, FOUR_SOCKET_XEON
 from repro.simhw.engine import IterationEngine
-from repro.simhw.memory import MemoryManager
+from repro.simhw.memory import SimMemory
 from repro.simhw.ssd import SsdArray
 from repro.simhw.thread import SimThread, spawn_threads
 from repro.simhw.topology import BindPolicy, NumaTopology
@@ -37,7 +37,7 @@ class SimMachine:
     cost_model: CostModel
     n_threads: int
     bind_policy: BindPolicy
-    memory: MemoryManager
+    memory: SimMemory
     threads: list[SimThread]
     engine: IterationEngine
     ssd: SsdArray | None = None
@@ -75,7 +75,7 @@ class SimMachine:
             cost_model=cost_model,
             n_threads=n_threads,
             bind_policy=bind_policy,
-            memory=MemoryManager(topo),
+            memory=SimMemory(topo),
             threads=spawn_threads(topo, n_threads, bind_policy),
             engine=IterationEngine(
                 cost_model,

@@ -1,4 +1,4 @@
-"""Simulated NUMA memory manager.
+"""Simulated NUMA memory: placement map and per-component accounting.
 
 Tracks *where* every logical allocation lives (which NUMA bank holds
 which byte range) and *how much* simulated memory each component of the
@@ -6,7 +6,7 @@ algorithm consumes. The placement map is what makes a memory access
 local or remote in the cost model; the accounting is what reproduces
 Table 1 and the memory panels of Figures 8c and 9c.
 
-The manager does not hold real data -- algorithms keep their NumPy
+``SimMemory`` does not hold real data -- algorithms keep their NumPy
 arrays; this class records the allocation metadata the real
 implementation would have passed to ``numa_alloc_onnode`` / ``malloc``.
 """
@@ -108,7 +108,7 @@ class Allocation:
         return self.node_of_offset(int(frac * self.nbytes))
 
 
-class MemoryManager:
+class SimMemory:
     """Allocation registry with per-component peak accounting.
 
     Components are free-form strings ("data", "centroids",
@@ -187,7 +187,7 @@ class MemoryManager:
 
     @property
     def peak_bytes(self) -> int:
-        """High-water mark over the manager's lifetime."""
+        """High-water mark over this registry's lifetime."""
         return self._peak_bytes
 
     def component_peak(self, component: str) -> int:

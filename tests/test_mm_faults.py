@@ -131,7 +131,7 @@ class TestSem:
     def test_mid_checkpoint_crash(
         self, dataset, baseline, tmp_path, crash_point
     ):
-        """Kill save_mm_checkpoint at each protocol stage; the run
+        """Kill save_checkpoint at each protocol stage; the run
         still recovers onto the bit-identical trajectory."""
         plan = FaultPlan.from_schedule(
             [FaultEvent(site="checkpoint", iteration=3,

@@ -372,13 +372,12 @@ class TestRegistry:
 
 
 class TestMMCheckpointFormat:
-    """The generic v4 on-disk format under the v3 durability
-    protocol."""
+    """Any MM algorithm's state in the one checkpoint format (v4)."""
 
     def _state(self):
-        from repro.sem.checkpoint import MMCheckpointState
+        from repro.sem.checkpoint import CheckpointState
 
-        return MMCheckpointState(
+        return CheckpointState(
             iteration=4,
             algorithm="gmm",
             arrays={
@@ -391,13 +390,10 @@ class TestMMCheckpointFormat:
         )
 
     def test_roundtrip(self, tmp_path):
-        from repro.sem.checkpoint import (
-            load_mm_checkpoint,
-            save_mm_checkpoint,
-        )
+        from repro.sem.checkpoint import load_checkpoint, save_checkpoint
 
-        save_mm_checkpoint(tmp_path, self._state())
-        ckpt = load_mm_checkpoint(tmp_path)
+        save_checkpoint(tmp_path, self._state())
+        ckpt = load_checkpoint(tmp_path)
         assert ckpt.iteration == 4
         assert ckpt.algorithm == "gmm"
         assert ckpt.scalars == {"tol": 1e-6}
@@ -408,71 +404,59 @@ class TestMMCheckpointFormat:
     def test_corruption_detected(self, tmp_path):
         from repro.sem.checkpoint import (
             corrupt_checkpoint,
-            load_mm_checkpoint,
-            save_mm_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
-        save_mm_checkpoint(tmp_path, self._state())
+        save_checkpoint(tmp_path, self._state())
         corrupt_checkpoint(tmp_path)
         with pytest.raises(CorruptionError):
-            load_mm_checkpoint(tmp_path)
+            load_checkpoint(tmp_path)
 
-    def test_version_mutual_rejection(self, tmp_path, mmdata):
-        """v3 loaders refuse v4 files and vice versa, by name."""
+    def test_one_loader_for_every_algorithm(self, tmp_path, mmdata):
+        """knors' NumericsLoop and an MM algorithm save through the
+        same writer and load through the same loader; each record
+        names its owner."""
         from repro.drivers.common import NumericsLoop, resolve_init
-        from repro.sem.checkpoint import (
-            CheckpointState,
-            load_checkpoint,
-            load_mm_checkpoint,
-            save_checkpoint,
-            save_mm_checkpoint,
-        )
+        from repro.runtime import CheckpointHook, RunObserver
+        from repro.sem.checkpoint import load_checkpoint, save_checkpoint
 
-        save_mm_checkpoint(tmp_path / "v4", self._state())
-        with pytest.raises(IoSubsystemError, match="load_mm_checkpoint"):
-            load_checkpoint(tmp_path / "v4")
+        save_checkpoint(tmp_path / "gmm", self._state())
+        assert load_checkpoint(tmp_path / "gmm").algorithm == "gmm"
 
         loop = NumericsLoop(
             mmdata, resolve_init(mmdata, 3, "random", 0), "mti"
         )
         loop.step()
-        snap = loop.export_state()
-        save_checkpoint(
-            tmp_path / "v3",
-            CheckpointState(
-                iteration=1,
-                centroids=snap["centroids"],
-                prev_centroids=snap["prev_centroids"],
-                assignment=snap["assignment"],
-                ub=snap["ub"],
-                sums=snap["sums"],
-                counts=snap["counts"],
-                n_changed=3,
-                params={},
-            ),
+        hook = CheckpointHook(tmp_path / "kmeans", 1, loop, params={})
+        hook.force_save(0, 3, RunObserver())
+        ckpt = load_checkpoint(tmp_path / "kmeans")
+        assert ckpt.algorithm == "kmeans"
+        assert ckpt.iteration == 1
+        assert set(ckpt.arrays) == {
+            "centroids", "prev_centroids", "assignment",
+            "ub", "sums", "counts",
+        }
+        np.testing.assert_array_equal(
+            ckpt.arrays["assignment"], loop.assignment
         )
-        with pytest.raises(IoSubsystemError, match="load_checkpoint"):
-            load_mm_checkpoint(tmp_path / "v3")
 
     def test_rejects_bad_array_names(self, tmp_path):
-        from repro.sem.checkpoint import (
-            MMCheckpointState,
-            save_mm_checkpoint,
-        )
+        from repro.sem.checkpoint import CheckpointState, save_checkpoint
 
-        bad = MMCheckpointState(
+        bad = CheckpointState(
             iteration=0, algorithm="x",
             arrays={"a/b": np.zeros(2)}, scalars={}, n_changed=0,
             params={},
         )
         with pytest.raises(IoSubsystemError):
-            save_mm_checkpoint(tmp_path, bad)
-        empty = MMCheckpointState(
+            save_checkpoint(tmp_path, bad)
+        empty = CheckpointState(
             iteration=0, algorithm="x", arrays={}, scalars={},
             n_changed=0, params={},
         )
         with pytest.raises(IoSubsystemError):
-            save_mm_checkpoint(tmp_path, empty)
+            save_checkpoint(tmp_path, empty)
 
 
 class TestSemResume:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AllocationError, ConfigError
-from repro.simhw.memory import AllocPolicy, MemoryManager
+from repro.simhw.memory import AllocPolicy, SimMemory
 from repro.simhw.topology import NumaTopology
 
 TOPO = NumaTopology(4, 12)
@@ -13,7 +13,7 @@ TOPO = NumaTopology(4, 12)
 
 @pytest.fixture()
 def mem():
-    return MemoryManager(TOPO)
+    return SimMemory(TOPO)
 
 
 def test_partitioned_placement_even(mem):
@@ -115,7 +115,7 @@ def test_live_allocations_ordered(mem):
     ),
 )
 def test_placement_conserves_bytes(nbytes, policy):
-    mem = MemoryManager(TOPO)
+    mem = SimMemory(TOPO)
     a = mem.alloc("x", nbytes, policy)
     assert sum(a.placement.values()) == nbytes
 
@@ -125,7 +125,7 @@ def test_placement_conserves_bytes(nbytes, policy):
     sizes=st.lists(st.integers(0, 1000), min_size=1, max_size=20),
 )
 def test_peak_is_max_prefix_sum(sizes):
-    mem = MemoryManager(TOPO)
+    mem = SimMemory(TOPO)
     for i, s in enumerate(sizes):
         mem.alloc(f"a{i}", s, AllocPolicy.OBLIVIOUS)
     assert mem.peak_bytes == sum(sizes)
