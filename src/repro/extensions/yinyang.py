@@ -420,26 +420,27 @@ class YinyangMM:
         )
 
     def export_state(self) -> dict:
-        if self.state is None:
-            raise DatasetError(
-                "yinyang state not initialized; nothing to export"
+        snap = {"iteration": self.iteration, "cur": self.cur,
+                "prev": self.prev}
+        if self.state is not None:  # bounds exist after the first step
+            snap.update(
+                assignment=self.state.assignment,
+                ub=self.state.ub,
+                lb=self.state.lb,
+                group_of=self.state.group_of,
+                sums=self.state.sums,
+                counts=self.state.counts,
             )
-        return {
-            "iteration": self.iteration,
-            "cur": self.cur,
-            "prev": self.prev,
-            "assignment": self.state.assignment,
-            "ub": self.state.ub,
-            "lb": self.state.lb,
-            "group_of": self.state.group_of,
-            "sums": self.state.sums,
-            "counts": self.state.counts,
-        }
+        return snap
 
     def restore_state(self, snap: dict) -> None:
         self.iteration = int(snap["iteration"])
         self.cur = np.array(snap["cur"], dtype=np.float64)
         self.prev = np.array(snap["prev"], dtype=np.float64)
+        self._last = None
+        if "lb" not in snap:  # taken before the first step
+            self.state = None
+            return
         lb = np.array(snap["lb"], dtype=np.float64)
         group_of = np.array(snap["group_of"], dtype=np.int64)
         t = lb.shape[1]
@@ -454,7 +455,6 @@ class YinyangMM:
             counts=np.array(snap["counts"], dtype=np.int64),
         )
         self.state_bytes_per_row = 4 + 8 * (1 + t)
-        self._last = None
 
     @property
     def model_array(self) -> np.ndarray:

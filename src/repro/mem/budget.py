@@ -84,7 +84,8 @@ class BudgetedManager(ArenaManager):
             self.spill_count += 1
             self.spill_bytes += block.size_class
             self.spill_ns += ns
-            self._emit_spill(block.tag, block.size_class, ns, "out")
+            if self._bus is not None:
+                self._bus.on_spill(block.tag, block.size_class, ns, "out")
             return True
         return False
 
@@ -159,7 +160,8 @@ class BudgetedManager(ArenaManager):
             self.spill_count += 1
             self.spill_bytes += block.size_class
             self.spill_ns += ns
-            self._emit_spill(block.tag, block.size_class, ns, "in")
+            if self._bus is not None:
+                self._bus.on_spill(block.tag, block.size_class, ns, "in")
         self._lru.pop(key, None)
         self._lru[key] = None
 

@@ -168,6 +168,7 @@ class MemoryManager:
 
     def __init__(self) -> None:
         self._observers: list[Any] = []
+        self._bus: Any = None  # chain over _observers; None when empty
         self.n_allocs = 0
         self.n_frees = 0
         self.n_reuses = 0
@@ -186,22 +187,12 @@ class MemoryManager:
     def attach_observer(self, observer: Any) -> None:
         """Route ``on_alloc``/``on_free``/``on_spill`` events to a
         :class:`~repro.runtime.observer.RunObserver`."""
+        # Imported here: the runtime package imports this module.
+        from repro.runtime.observer import chain_observers
+
         if observer not in self._observers:
             self._observers.append(observer)
-
-    def _emit_alloc(self, tag: str, nbytes: int, reused: bool) -> None:
-        for obs in self._observers:
-            obs.on_alloc(tag, nbytes, reused)
-
-    def _emit_free(self, tag: str, nbytes: int) -> None:
-        for obs in self._observers:
-            obs.on_free(tag, nbytes)
-
-    def _emit_spill(
-        self, tag: str, nbytes: int, ns: float, direction: str
-    ) -> None:
-        for obs in self._observers:
-            obs.on_spill(tag, nbytes, ns, direction)
+            self._bus = chain_observers(self._observers)
 
     # -- allocation protocol ------------------------------------------
 
@@ -305,7 +296,8 @@ class NumpyManager(MemoryManager):
         self.backing_allocs += 1
         self.live_bytes += arr.nbytes
         self._bump_peak()
-        self._emit_alloc(tag, arr.nbytes, False)
+        if self._bus is not None:
+            self._bus.on_alloc(tag, arr.nbytes, False)
         return arr
 
     def free(self, arr):
@@ -313,7 +305,8 @@ class NumpyManager(MemoryManager):
             return
         self.n_frees += 1
         self.live_bytes = max(0, self.live_bytes - arr.nbytes)
-        self._emit_free("", arr.nbytes)
+        if self._bus is not None:
+            self._bus.on_free("", arr.nbytes)
 
     def pool_stats(self) -> MemoryPoolStats:
         return MemoryPoolStats(
@@ -384,7 +377,8 @@ class ArenaManager(MemoryManager):
         self.n_allocs += 1
         self.live_bytes += cls
         self._bump_peak()
-        self._emit_alloc(tag, nbytes, reused)
+        if self._bus is not None:
+            self._bus.on_alloc(tag, nbytes, reused)
         return view
 
     def free(self, arr):
@@ -400,7 +394,8 @@ class ArenaManager(MemoryManager):
         self.live_bytes -= block.size_class
         self.pooled_bytes += block.size_class
         self._free.setdefault(block.size_class, []).append(block.raw)
-        self._emit_free(block.tag, arr.nbytes)
+        if self._bus is not None:
+            self._bus.on_free(block.tag, arr.nbytes)
 
     def owns(self, arr: np.ndarray) -> bool:
         """Is ``arr`` a live view handed out by this arena?"""

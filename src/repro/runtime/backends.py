@@ -43,6 +43,7 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 from repro.errors import (
+    ConfigError,
     CorruptionError,
     IoSubsystemError,
     NodeFailureError,
@@ -290,6 +291,15 @@ class CheckpointHook:
     params: dict
     faults: Any = None  # FaultPlan, for mid-save crash points
 
+    def __post_init__(self) -> None:
+        # Reject a pairing that cannot checkpoint (Elkan) before the
+        # first iteration runs, not when the first save fires.
+        if self.interval < 1:
+            raise ConfigError(
+                f"checkpoint_interval must be >= 1, got {self.interval}"
+            )
+        self.algorithm.export_state()
+
     def maybe_save(
         self, iteration: int, n_changed: int, observer: RunObserver
     ) -> None:
@@ -445,8 +455,6 @@ class SemBackend(InMemoryBackend):
             task_rows=task_rows, faults=faults,
         )
         if io_mode not in ("sync", "async"):
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 f"io_mode must be 'sync' or 'async', got {io_mode!r}"
             )
@@ -1287,16 +1295,12 @@ class PureMpiBackend:
         autoscaler: Any = None,
     ) -> None:
         if getattr(sharded, "allreduce", "tree") != "tree":
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 "the pure-MPI baseline supports allreduce='tree' only: "
                 "its flat one-rank-per-core space has no "
                 "one-rank-per-machine grid for the rectangular schedule"
             )
         if membership is not None or autoscaler is not None:
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 "the pure-MPI baseline is a fixed-rank world: MPI "
                 "communicators cannot grow or shrink mid-run, so "

@@ -8,27 +8,27 @@ Every execution backend reports the same event stream while an
 [``on_collective``] → ``on_iteration_end`` → [``on_checkpoint``])\\* →
 ``on_run_end``
 
-The bracketed I/O triple is the SEM backend's: ``on_io_issue`` marks
-the iteration's reads entering the request queue (before compute),
-``on_io`` carries the planned accounting, and ``on_io_complete`` lands
-after the compute trace with the overlap split (how much service time
-the prefetcher hid vs how long compute blocked).
+The bracketed I/O triple is the SEM backend's (reads queued, planned
+accounting, then the prefetch overlap split after compute). Four more
+families can appear anywhere in that stream:
 
-Fault injection (:mod:`repro.faults`) adds a second family that can
-appear anywhere inside an iteration: ``on_fault`` (a fault fired),
-``on_retry`` (one recovery attempt, charged simulated time) and
-``on_recovery`` (the fault was answered -- retries succeeded, a
-checkpoint was restored, shards were reassigned). Every ``on_fault``
-from a recoverable fault is eventually followed by an ``on_recovery``
-for the same site.
+* **faults** (:mod:`repro.faults`, :mod:`repro.resilience`):
+  ``on_fault``, ``on_retry``, ``on_recovery``, ``on_corruption``,
+  ``on_quarantine``, ``on_straggler``, ``on_rebalance``. Every
+  ``on_fault`` from a recoverable fault is eventually followed by an
+  ``on_recovery`` for the same site.
+* **elastic** (:mod:`repro.elastic`): ``on_preempt_notice``,
+  ``on_scale_up``, ``on_scale_down``.
+* **serve** (:mod:`repro.serve`): ``on_query``, ``on_ingest``, keyed
+  by serve batch instead of iteration.
+* **memory** (:mod:`repro.mem`): ``on_alloc``, ``on_free``,
+  ``on_spill``, with no iteration number.
 
-The resilience layer (:mod:`repro.resilience`) extends that family:
-``on_corruption`` (a CRC32 verification failed -- corruption was
-*detected*, never silently clustered on), ``on_quarantine`` (the bad
-page/row/checkpoint was fenced off pending a clean re-read),
-``on_straggler`` (a thread or machine's EWMA iteration time crossed
-the slowdown threshold) and ``on_rebalance`` (work was re-partitioned
-onto healthy workers).
+:class:`RunObserver` is the schema: each event is declared once, as
+one documented no-op method there. :class:`ObserverChain` and
+:class:`RecordingObserver` are derived from its ``on_*`` methods, so
+adding an event means adding one method to ``RunObserver`` and
+nothing else.
 
 Benchmarks, the CLI's ``--trace`` flag, and future profilers all ride
 this one mechanism instead of scraping ``IterationRecord`` lists after
@@ -39,8 +39,9 @@ invariant (see ``docs/architecture.md``).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 
 class RunObserver:
@@ -50,8 +51,7 @@ class RunObserver:
     compatible: new events default to no-ops for existing observers.
     """
 
-    def on_run_start(self, n_rows: int, max_iters: int,
-                     meta: dict | None = None) -> None:
+    def on_run_start(self, n_rows: int, max_iters: int) -> None:
         """The loop is about to run ``max_iters`` iterations max."""
 
     def on_iteration_start(self, iteration: int) -> None:
@@ -175,110 +175,11 @@ class RunObserver:
 
 
 class ObserverChain(RunObserver):
-    """Fans every event out to a sequence of observers, in order."""
+    """Fans every event out to a sequence of observers, in order, with
+    the caller's arguments unchanged (see :func:`_fan_out`)."""
 
     def __init__(self, observers: Sequence[RunObserver]) -> None:
         self.observers = list(observers)
-
-    def on_run_start(self, n_rows, max_iters, meta=None):
-        for o in self.observers:
-            o.on_run_start(n_rows, max_iters, meta)
-
-    def on_iteration_start(self, iteration):
-        for o in self.observers:
-            o.on_iteration_start(iteration)
-
-    def on_io_issue(self, iteration, rows, pages, prefetched):
-        for o in self.observers:
-            o.on_io_issue(iteration, rows, pages, prefetched)
-
-    def on_io(self, iteration, io):
-        for o in self.observers:
-            o.on_io(iteration, io)
-
-    def on_io_complete(self, iteration, service_ns, hidden_ns, blocked_ns):
-        for o in self.observers:
-            o.on_io_complete(iteration, service_ns, hidden_ns, blocked_ns)
-
-    def on_task_trace(self, iteration, trace, machine_index=0):
-        for o in self.observers:
-            o.on_task_trace(iteration, trace, machine_index)
-
-    def on_collective(self, iteration, payload_bytes, wire_bytes, sim_ns):
-        for o in self.observers:
-            o.on_collective(iteration, payload_bytes, wire_bytes, sim_ns)
-
-    def on_iteration_end(self, iteration, record):
-        for o in self.observers:
-            o.on_iteration_end(iteration, record)
-
-    def on_checkpoint(self, iteration, path):
-        for o in self.observers:
-            o.on_checkpoint(iteration, path)
-
-    def on_fault(self, iteration, site, kind, detail=None):
-        for o in self.observers:
-            o.on_fault(iteration, site, kind, detail)
-
-    def on_retry(self, iteration, site, attempt, delay_ns):
-        for o in self.observers:
-            o.on_retry(iteration, site, attempt, delay_ns)
-
-    def on_recovery(self, iteration, site, action, detail=None):
-        for o in self.observers:
-            o.on_recovery(iteration, site, action, detail)
-
-    def on_corruption(self, iteration, where, detail=None):
-        for o in self.observers:
-            o.on_corruption(iteration, where, detail)
-
-    def on_quarantine(self, iteration, where, what, detail=None):
-        for o in self.observers:
-            o.on_quarantine(iteration, where, what, detail)
-
-    def on_straggler(self, iteration, scope, worker, detail=None):
-        for o in self.observers:
-            o.on_straggler(iteration, scope, worker, detail)
-
-    def on_rebalance(self, iteration, scope, detail=None):
-        for o in self.observers:
-            o.on_rebalance(iteration, scope, detail)
-
-    def on_preempt_notice(self, iteration, machine, deadline, detail=None):
-        for o in self.observers:
-            o.on_preempt_notice(iteration, machine, deadline, detail)
-
-    def on_scale_up(self, iteration, machine, detail=None):
-        for o in self.observers:
-            o.on_scale_up(iteration, machine, detail)
-
-    def on_scale_down(self, iteration, machine, detail=None):
-        for o in self.observers:
-            o.on_scale_down(iteration, machine, detail)
-
-    def on_query(self, batch, queries, latency_ns, detail=None):
-        for o in self.observers:
-            o.on_query(batch, queries, latency_ns, detail)
-
-    def on_ingest(self, batch, rows, detail=None):
-        for o in self.observers:
-            o.on_ingest(batch, rows, detail)
-
-    def on_alloc(self, tag, nbytes, reused):
-        for o in self.observers:
-            o.on_alloc(tag, nbytes, reused)
-
-    def on_free(self, tag, nbytes):
-        for o in self.observers:
-            o.on_free(tag, nbytes)
-
-    def on_spill(self, tag, nbytes, ns, direction):
-        for o in self.observers:
-            o.on_spill(tag, nbytes, ns, direction)
-
-    def on_run_end(self, iterations, converged):
-        for o in self.observers:
-            o.on_run_end(iterations, converged)
 
 
 def chain_observers(observers: Sequence[RunObserver]) -> RunObserver:
@@ -301,106 +202,11 @@ class TraceEvent:
 
 class RecordingObserver(RunObserver):
     """Appends every event to ``self.events`` -- the test fixture for
-    event-ordering guarantees, and a cheap in-memory profiler."""
+    event-ordering guarantees, and a cheap in-memory profiler (see
+    :func:`_recorder` for what each event records)."""
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-
-    def _rec(self, name: str, iteration: int | None, **payload) -> None:
-        self.events.append(TraceEvent(name, iteration, payload))
-
-    def on_run_start(self, n_rows, max_iters, meta=None):
-        self._rec("run_start", None, n_rows=n_rows, max_iters=max_iters)
-
-    def on_iteration_start(self, iteration):
-        self._rec("iteration_start", iteration)
-
-    def on_io_issue(self, iteration, rows, pages, prefetched):
-        self._rec("io_issue", iteration, rows=rows, pages=pages,
-                  prefetched=prefetched)
-
-    def on_io(self, iteration, io):
-        self._rec("io", iteration, bytes_read=io.bytes_read,
-                  service_ns=io.service_ns)
-
-    def on_io_complete(self, iteration, service_ns, hidden_ns, blocked_ns):
-        self._rec("io_complete", iteration, service_ns=service_ns,
-                  hidden_ns=hidden_ns, blocked_ns=blocked_ns)
-
-    def on_task_trace(self, iteration, trace, machine_index=0):
-        self._rec("task_trace", iteration, machine_index=machine_index,
-                  total_ns=trace.total_ns, steals=trace.total_steals)
-
-    def on_collective(self, iteration, payload_bytes, wire_bytes, sim_ns):
-        self._rec("collective", iteration, payload_bytes=payload_bytes,
-                  wire_bytes=wire_bytes, sim_ns=sim_ns)
-
-    def on_iteration_end(self, iteration, record):
-        self._rec("iteration_end", iteration, sim_ns=record.sim_ns)
-
-    def on_checkpoint(self, iteration, path):
-        self._rec("checkpoint", iteration, path=str(path))
-
-    def on_fault(self, iteration, site, kind, detail=None):
-        self._rec("fault", iteration, site=site, kind=kind,
-                  detail=detail or {})
-
-    def on_retry(self, iteration, site, attempt, delay_ns):
-        self._rec("retry", iteration, site=site, attempt=attempt,
-                  delay_ns=delay_ns)
-
-    def on_recovery(self, iteration, site, action, detail=None):
-        self._rec("recovery", iteration, site=site, action=action,
-                  detail=detail or {})
-
-    def on_corruption(self, iteration, where, detail=None):
-        self._rec("corruption", iteration, where=where,
-                  detail=detail or {})
-
-    def on_quarantine(self, iteration, where, what, detail=None):
-        self._rec("quarantine", iteration, where=where, what=what,
-                  detail=detail or {})
-
-    def on_straggler(self, iteration, scope, worker, detail=None):
-        self._rec("straggler", iteration, scope=scope, worker=worker,
-                  detail=detail or {})
-
-    def on_rebalance(self, iteration, scope, detail=None):
-        self._rec("rebalance", iteration, scope=scope,
-                  detail=detail or {})
-
-    def on_preempt_notice(self, iteration, machine, deadline, detail=None):
-        self._rec("preempt_notice", iteration, machine=machine,
-                  deadline=deadline, detail=detail or {})
-
-    def on_scale_up(self, iteration, machine, detail=None):
-        self._rec("scale_up", iteration, machine=machine,
-                  detail=detail or {})
-
-    def on_scale_down(self, iteration, machine, detail=None):
-        self._rec("scale_down", iteration, machine=machine,
-                  detail=detail or {})
-
-    def on_query(self, batch, queries, latency_ns, detail=None):
-        self._rec("query", batch, queries=queries,
-                  latency_ns=latency_ns, detail=detail or {})
-
-    def on_ingest(self, batch, rows, detail=None):
-        self._rec("ingest", batch, rows=rows, detail=detail or {})
-
-    def on_alloc(self, tag, nbytes, reused):
-        self._rec("alloc", None, tag=tag, nbytes=nbytes, reused=reused)
-
-    def on_free(self, tag, nbytes):
-        self._rec("free", None, tag=tag, nbytes=nbytes)
-
-    def on_spill(self, tag, nbytes, ns, direction):
-        self._rec("spill", None, tag=tag, nbytes=nbytes, ns=ns,
-                  direction=direction)
-
-    def on_run_end(self, iterations, converged):
-        self._rec("run_end", None, iterations=iterations,
-                  converged=converged)
 
     def names(self) -> list[str]:
         """Event names in arrival order (ordering assertions)."""
@@ -431,6 +237,63 @@ class RecordingObserver(RunObserver):
         ]
 
 
+def _fan_out(event: str) -> Callable[..., None]:
+    def forward(self: ObserverChain, *args: Any, **kwargs: Any) -> None:
+        for o in self.observers:
+            getattr(o, event)(*args, **kwargs)
+
+    return forward
+
+
+# Events whose arguments are objects record a few scalar fields of
+# them; each projection takes the event's remaining arguments.
+_PROJECTIONS: dict[str, Callable[..., dict]] = {
+    "io": lambda io: {
+        "bytes_read": io.bytes_read, "service_ns": io.service_ns},
+    "task_trace": lambda trace, machine_index: {
+        "machine_index": machine_index, "total_ns": trace.total_ns,
+        "steals": trace.total_steals},
+    "iteration_end": lambda record: {"sim_ns": record.sim_ns},
+    "checkpoint": lambda path: {"path": str(path)},
+}
+
+
+def _recorder(event: str) -> Callable[..., None]:
+    """The :class:`RecordingObserver` method for ``event``.
+
+    ``TraceEvent.iteration`` is the ``iteration`` (or serve ``batch``)
+    argument, else ``None``; the payload is the remaining arguments by
+    name, ``detail=None`` as ``{}``. The ``RunObserver`` signature is
+    read once, here, not per call.
+    """
+    declared = getattr(RunObserver, event)
+    params = list(inspect.signature(declared).parameters.values())[1:]
+    names = [p.name for p in params]
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    key = next((n for n in ("iteration", "batch") if n in names), None)
+    name = event[len("on_"):]
+    project = _PROJECTIONS.get(name)
+
+    def record(self: RecordingObserver, *args: Any, **kwargs: Any) -> None:
+        declared(self, *args, **kwargs)  # rejects what the schema rejects
+        payload = dict(zip(names, args), **kwargs)
+        for n, v in defaults.items():
+            payload.setdefault(n, v)
+        iteration = payload.pop(key) if key is not None else None
+        if "detail" in payload:
+            payload["detail"] = payload["detail"] or {}
+        if project is not None:
+            payload = project(**payload)
+        self.events.append(TraceEvent(name, iteration, payload))
+
+    return record
+
+
+for _event in [n for n in vars(RunObserver) if n.startswith("on_")]:
+    setattr(ObserverChain, _event, _fan_out(_event))
+    setattr(RecordingObserver, _event, _recorder(_event))
+
+
 class PrintObserver(RunObserver):
     """Writes one line per event -- the CLI's ``--trace`` output."""
 
@@ -442,7 +305,7 @@ class PrintObserver(RunObserver):
     def _emit(self, line: str) -> None:
         print(line, file=self.stream)
 
-    def on_run_start(self, n_rows, max_iters, meta=None):
+    def on_run_start(self, n_rows, max_iters):
         self._emit(f"[trace] run start: n={n_rows} max_iters={max_iters}")
 
     def on_io_issue(self, iteration, rows, pages, prefetched):

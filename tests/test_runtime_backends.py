@@ -27,6 +27,7 @@ from repro.runtime import (
     run_mm_sem,
     state_bytes_per_row,
 )
+from tests.test_observer_bus import CALLS
 
 
 @pytest.fixture(scope="module")
@@ -207,12 +208,32 @@ def test_framework_sem_emits_io_events(small):
     assert rec.names()[-1] == "run_end"
 
 
+class _Spy:
+    """Logs ``(tag, event, args, kwargs)`` for any ``on_*`` call."""
+
+    def __init__(self, tag, log):
+        self.tag, self.log = tag, log
+
+    def __getattr__(self, event):
+        return lambda *a, **kw: self.log.append((self.tag, event, a, kw))
+
+
 def test_chain_observers_fans_out(small):
     a, b = RecordingObserver(), RecordingObserver()
     knori(small, 4, seed=0, criteria=ConvergenceCriteria(max_iters=2),
           observers=[a, b])
     assert a.names() == b.names()
     assert a.names()[0] == "run_start"
+
+    # Every event RunObserver declares (CALLS covers them all) reaches
+    # each member, in list order, with the caller's exact positional
+    # and keyword arguments.
+    for event, args, kwargs, _, _ in CALLS:
+        log = []
+        chain = chain_observers([_Spy("a", log), _Spy("b", log)])
+        getattr(chain, event)(*args, **kwargs)
+        assert log == [("a", event, args, kwargs),
+                       ("b", event, args, kwargs)], event
 
 
 def test_chain_observers_collapse():

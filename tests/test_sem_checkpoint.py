@@ -344,6 +344,65 @@ class TestKnorsRecovery:
         assert state.iteration in (3, 6)
 
 
+def _knors_run(x, ckpt, interval, pruning, observer):
+    return knors(
+        x, 5, pruning=pruning, checkpoint_dir=ckpt,
+        checkpoint_interval=interval, observers=[observer],
+    )
+
+
+def _mm_sem_run(x, ckpt, interval, pruning, observer):
+    from repro.runtime import KmeansMM, run_mm_sem
+
+    return run_mm_sem(
+        KmeansMM(x, 5, pruning=pruning), checkpoint_dir=ckpt,
+        checkpoint_interval=interval, observers=[observer],
+    )
+
+
+@pytest.mark.parametrize("run", [_knors_run, _mm_sem_run])
+class TestCheckpointPairingRejectedUpFront:
+    """``CheckpointHook`` rejects a pairing it cannot honour when it is
+    built, so no iteration runs before the ``ConfigError``."""
+
+    def test_elkan_rejected_before_first_iteration(
+        self, run, overlapping, tmp_path
+    ):
+        from repro.runtime import RecordingObserver
+
+        rec = RecordingObserver()
+        with pytest.raises(ConfigError, match="Elkan"):
+            run(overlapping, tmp_path / "c", 3, "elkan", rec)
+        assert "iteration_start" not in rec.names()
+        assert not has_checkpoint(tmp_path / "c")
+
+    @pytest.mark.parametrize("interval", [0, -2])
+    def test_non_positive_interval_rejected(
+        self, run, overlapping, tmp_path, interval
+    ):
+        from repro.runtime import RecordingObserver
+
+        rec = RecordingObserver()
+        with pytest.raises(ConfigError, match="checkpoint_interval"):
+            run(overlapping, tmp_path / "c", interval, "mti", rec)
+        assert "iteration_start" not in rec.names()
+
+
+def test_yinyang_checkpoints_through_the_probe(overlapping, tmp_path):
+    """The up-front probe exports a not-yet-stepped algorithm: Yinyang
+    builds its bounds lazily, so it exports the bare model there."""
+    from repro.extensions.yinyang import YinyangMM
+    from repro.runtime import run_mm_sem
+
+    algorithm = YinyangMM(
+        overlapping, 5, criteria=ConvergenceCriteria(max_iters=2)
+    )
+    run_mm_sem(
+        algorithm, checkpoint_dir=tmp_path / "y", checkpoint_interval=2
+    )
+    assert load_checkpoint(tmp_path / "y").algorithm == "yinyang"
+
+
 class TestLegacyResume:
     def test_knors_resumes_from_v3(self, matrix_path, overlapping, tmp_path):
         """A hand-built v3 directory holding a real mid-run state
